@@ -643,7 +643,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         return 0 if not report.survivors else 1
 
     # Plain campaign against the pristine algorithm: exit 1 on violations.
-    campaign = run_campaign(base)
+    campaign = run_campaign(base, jobs=args.jobs)
     print(campaign.describe())
     failure = campaign.first_failure
     if failure is not None and args.shrink:
@@ -1005,13 +1005,18 @@ def build_parser() -> argparse.ArgumentParser:
                       help="sampled plans per campaign (per mutant with --mutants)")
     fuzz.add_argument("--budget", metavar="60s",
                       help="wall-clock lid per campaign, e.g. 60s, 2m "
-                           "(checked between runs; the walk only truncates)")
+                           "(checked before each run is submitted; the walk "
+                           "only truncates)")
     fuzz.add_argument("--archetypes", nargs="+", metavar="NAME",
                       help="restrict the walk to these sampler archetypes "
                            "(e.g. churn_storm flash_crowd rolling_restart); "
                            "default: all ten")
     fuzz.add_argument("--substrate", choices=("kernel", "live"), default="kernel",
                       help="where plans run (live: loopback AsyncHost, scaled time)")
+    fuzz.add_argument("--jobs", type=int, default=None, metavar="N",
+                      help="worker processes judging a kernel campaign's plans "
+                           "(default: the CPUs available; 1: in-process; the "
+                           "results are the same for every N)")
     fuzz.add_argument("--mutants", nargs="*", metavar="NAME",
                       help="mutation testing: kill-campaign per named mutant "
                            "(no names: the whole registry); exit 1 on survivors")

@@ -11,29 +11,49 @@ the fraction of killed mutants is the campaign's mutation score — a
 direct measure of how much bug-finding power the property suite plus
 the adversary schedule actually has.
 
-Memory discipline: passing runs drop their trace and wire log
-immediately (only the verdict and counters stay), so a 200-run campaign
-holds at most one run's worth of artifacts — the failing one the
-shrinker needs.
+Plans are pure functions of ``(spec, index)``, so a kernel campaign
+walks them over :func:`repro.pool.ordered_map`: sampled here, judged in
+worker processes, collected in index order.  The result is the serial
+one for any job count.
+
+Memory discipline: a kernel walk never builds a wire log and keeps no
+trace reference (workers return the verdict and counters only).  The
+first failing index is replayed once in this process with artifacts on
+— that is the one trace and wire log the shrinker and the witness
+writer need — and the replay must agree with the walk's result, which
+doubles as a determinism check.
 """
 
 from __future__ import annotations
 
+import os
 import time
+from contextlib import closing
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from functools import cached_property, partial
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.faults.engine import FaultRunResult, run_plan
 from repro.faults.mutants import Mutant, all_mutants, get_mutant
 from repro.faults.plan import FaultPlan
 from repro.faults.sampler import ARCHETYPES, sample_plan
+from repro.pool import ordered_map, plan_workers
 
 #: When a mutant only bites on the post-crash path (``needs_crash``),
 #: crash-free sampled indices are skipped without counting against the
 #: run budget — but never more than this many indices per counted run,
 #: so a pathological sampler cannot spin the harness forever.
 MAX_SKIP_FACTOR = 4
+
+#: Shortest kernel campaign worth a process pool.  Building and joining
+#: a forked pool of two costs ≈25 ms of wall here, repaid once half the
+#: walk's run time exceeds it.  Measured serial/pool wall ratio (median
+#: of 7 seeds, 2 vCPUs) for the cheapest plans the sampler makes, ring-5
+#: at ≈7 ms each: 0.68 at 6 runs, 0.98 at 8, 1.39 at 12, 1.50 at 16,
+#: 1.68 at 50.  Dearer plans cross earlier (mixed n=10, ≈25 ms: 1.09 at
+#: 2 runs, 1.60 at 12), so 12 is the first size at which every shape wins.
+POOL_MIN_RUNS = 12
 
 
 # ----------------------------------------------------------------------
@@ -43,11 +63,14 @@ MAX_SKIP_FACTOR = 4
 class CampaignSpec:
     """Everything that determines a campaign, hashably.
 
-    ``budget_seconds`` is a wall-clock lid checked *between* runs: the
-    campaign never starts a run past the budget but always finishes the
-    one it is in.  ``runs`` is the index ceiling either way, so results
-    are reproducible by (topology, n, seed) alone — the budget can only
-    truncate the walk, never reorder it.
+    ``budget_seconds`` is a wall-clock lid checked before each run is
+    *submitted*: the campaign never submits a run past the budget but
+    always finishes those in flight.  ``runs`` is the index ceiling
+    either way, so results are reproducible by (topology, n, seed) alone
+    — the budget can only truncate the walk, never reorder it.  How many
+    processes walk it is not part of the spec (see :func:`run_campaign`):
+    the spec feeds cache fingerprints and the job count changes nothing
+    a campaign produces.
     """
 
     topology: str = "ring"
@@ -76,17 +99,19 @@ class CampaignSpec:
             if not self.archetypes:
                 raise ConfigurationError("archetype restriction is empty")
 
-    def sampler_index(self, index: int) -> int:
-        """The sampler index run ``index`` visits under the restriction."""
-        if self.archetypes is None:
-            return index
-        allowed = [
+    @cached_property
+    def _allowed(self) -> Tuple[int, ...]:
+        """Sampler positions of the allowed archetypes, in sampler order."""
+        return tuple(
             position
             for position, name in enumerate(ARCHETYPES)
-            if name in self.archetypes
-        ]
-        cycle, offset = divmod(index, len(allowed))
-        return cycle * len(ARCHETYPES) + allowed[offset]
+            if self.archetypes is None or name in self.archetypes
+        )
+
+    def sampler_index(self, index: int) -> int:
+        """The sampler index run ``index`` visits under the restriction."""
+        cycle, offset = divmod(index, len(self._allowed))
+        return cycle * len(ARCHETYPES) + self._allowed[offset]
 
     def plan(self, index: int) -> FaultPlan:
         """The ``index``-th plan of this campaign's walk."""
@@ -121,6 +146,11 @@ class CampaignResult:
     results: List[FaultRunResult] = field(default_factory=list)
     elapsed: float = 0.0
     budget_exhausted: bool = False
+    #: Processes that walked the plans (1: this one).
+    jobs: int = 1
+    #: CPU time the walk cost, this process plus its reaped workers —
+    #: beside ``elapsed`` so a wall-clock win is not read as cheaper plans.
+    cpu_seconds: float = 0.0
 
     @property
     def runs_executed(self) -> int:
@@ -135,9 +165,13 @@ class CampaignResult:
         return not self.failures
 
     @property
+    def first_failure_index(self) -> Optional[int]:
+        return next((i for i, r in enumerate(self.results) if r.failed), None)
+
+    @property
     def first_failure(self) -> Optional[FaultRunResult]:
-        failures = self.failures
-        return failures[0] if failures else None
+        index = self.first_failure_index
+        return self.results[index] if index is not None else None
 
     def violation_count(self) -> int:
         return sum(len(r.verdict.all_violations()) for r in self.results)
@@ -160,6 +194,7 @@ class CampaignResult:
             f"  runs: {self.runs_executed}/{self.spec.runs}"
             + (" (budget exhausted)" if self.budget_exhausted else "")
             + f", elapsed {self.elapsed:.1f}s"
+            + f" (jobs {self.jobs}, cpu {self.cpu_seconds:.2f}s)"
         )
         if self.ok:
             lines.append("  violations: 0")
@@ -170,10 +205,9 @@ class CampaignResult:
             )
             for prop, count in self.fail_counts().items():
                 lines.append(f"    {prop}: {count} run(s)")
-            first = self.first_failure
-            if first is not None:
-                index = self.results.index(first)
-                lines.append(f"  first failure: run {index}: {first.plan.describe()}")
+            index = self.first_failure_index
+            plan = self.results[index].plan
+            lines.append(f"  first failure: run {index}: {plan.describe()}")
         return "\n".join(lines)
 
     def to_json(self) -> dict:
@@ -182,34 +216,98 @@ class CampaignResult:
             "runs_executed": self.runs_executed,
             "budget_exhausted": self.budget_exhausted,
             "elapsed": self.elapsed,
+            "cpu_seconds": self.cpu_seconds,
+            "jobs": self.jobs,
             "ok": self.ok,
             "fail_counts": self.fail_counts(),
             "results": [r.to_json() for r in self.results],
         }
 
 
-def run_campaign(spec: CampaignSpec) -> CampaignResult:
-    """Walk ``spec``'s sampled plans until runs, budget, or a kill stops it."""
+def _judge_plan(substrate: str, judge: bool, plan: FaultPlan) -> FaultRunResult:
+    """One step of a campaign walk (the pool worker for kernel campaigns).
+
+    Kernel plans run artifact-free; :func:`run_campaign` replays the one
+    it needs artifacts for.  A live run cannot be replayed (it is wall
+    clock), so it keeps its artifacts when it fails.
+    """
+    if substrate == "kernel":
+        return run_plan(plan, substrate=substrate, judge=judge, artifacts=False)
+    result = run_plan(plan, substrate=substrate, judge=judge)
+    if result.ok:
+        result.trace = None
+        result.wire = []
+    return result
+
+
+def _replay_with_artifacts(spec: CampaignSpec, walked: FaultRunResult) -> FaultRunResult:
+    """Re-run a failing kernel plan in this process, keeping trace and wire log."""
+    replayed = run_plan(walked.plan, substrate=spec.substrate, judge=spec.judge)
+    for what, seen, again in (
+        ("statuses", walked.verdict.statuses(), replayed.verdict.statuses()),
+        ("events", walked.events, replayed.events),
+        ("meals", walked.meals, replayed.meals),
+    ):
+        if seen != again:
+            raise SimulationError(
+                f"replay of failing plan diverged from the campaign walk on {what}: "
+                f"{seen!r} then {again!r} ({walked.plan.describe()})"
+            )
+    return replayed
+
+
+def _cpu_seconds() -> float:
+    times = os.times()
+    return times.user + times.system + times.children_user + times.children_system
+
+
+def run_campaign(spec: CampaignSpec, *, jobs: Optional[int] = None) -> CampaignResult:
+    """Walk ``spec``'s sampled plans until runs, budget, or a kill stops it.
+
+    ``jobs`` is how many processes judge plans: None means every CPU
+    this process may use, 1 forces the in-process loop.  Only
+    ``substrate="kernel"`` fans out — live plans are wall-clock asyncio
+    runs that would perturb each other — and only when the pool can win
+    (:func:`repro.pool.plan_workers`).  ``results`` is the contiguous
+    prefix ``0..k`` of the walk in index order for every job count:
+    ``stop_on_failure`` truncates after the first failing *index* and
+    drops whatever was judged speculatively past it.
+    """
     if spec.runs < 1:
         raise ConfigurationError(f"campaign needs at least 1 run, got {spec.runs}")
+    kernel = spec.substrate == "kernel"
     start = time.monotonic()
-    out = CampaignResult(spec=spec)
-    for index in range(spec.runs):
-        if (
-            spec.budget_seconds is not None
-            and index > 0
-            and time.monotonic() - start >= spec.budget_seconds
-        ):
-            out.budget_exhausted = True
-            break
-        result = run_plan(spec.plan(index), substrate=spec.substrate, judge=spec.judge)
-        if result.ok:
-            result.trace = None
-            result.wire = []
-        out.results.append(result)
-        if result.failed and spec.stop_on_failure:
-            break
+    cpu_start = _cpu_seconds()
+    out = CampaignResult(
+        spec=spec,
+        jobs=plan_workers(jobs, spec.runs, min_items=POOL_MIN_RUNS) if kernel else 1,
+    )
+
+    def plans() -> Iterator[FaultPlan]:
+        for index in range(spec.runs):
+            if (
+                spec.budget_seconds is not None
+                and index > 0
+                and time.monotonic() - start >= spec.budget_seconds
+            ):
+                return  # the lid: submit nothing more
+            yield spec.plan(index)
+
+    step = partial(_judge_plan, spec.substrate, spec.judge)
+    killed = False
+    with closing(ordered_map(step, plans(), jobs=out.jobs)) as walk:
+        for result in walk:
+            out.results.append(result)
+            if result.failed and spec.stop_on_failure:
+                killed = True
+                break
+    # Only the lid or a kill ends a walk early, and a kill is never the lid's doing.
+    out.budget_exhausted = not killed and len(out.results) < spec.runs
+    index = out.first_failure_index
+    if kernel and index is not None:
+        out.results[index] = _replay_with_artifacts(spec, out.results[index])
     out.elapsed = time.monotonic() - start
+    out.cpu_seconds = _cpu_seconds() - cpu_start
     return out
 
 

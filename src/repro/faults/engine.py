@@ -512,6 +512,7 @@ def run_plan_kernel(
     detector=None,
     windows: Optional[JudgeWindows] = None,
     monitors=(),
+    artifacts: bool = True,
 ) -> FaultRunResult:
     """Interpret ``plan`` on the discrete-event kernel.
 
@@ -525,7 +526,11 @@ def run_plan_kernel(
     this is how the bake-off replays one plan across the whole zoo.
     ``monitors`` are extra :class:`~repro.sim.network.NetworkMonitor`
     instances attached before the run (the bake-off's per-algorithm
-    message-bit instrument rides here).
+    message-bit instrument rides here).  ``artifacts=False`` is the
+    campaign walk's mode: no wire log is built and the result carries no
+    trace reference (the recorder itself still runs — the checks listen
+    to it), so a passing run costs nothing it is about to throw away and
+    the result pickles in ≈2 KB.  The verdict is the same either way.
     """
     if judge and windows is None:
         windows = JudgeWindows.for_plan(plan)
@@ -539,7 +544,8 @@ def run_plan_kernel(
         windows=windows,
     )
     wire = _WireLogMonitor()
-    table.network.add_monitor(wire)
+    if artifacts:
+        table.network.add_monitor(wire)
     for monitor in monitors:
         table.network.add_monitor(monitor)
     for spec in plan.crashes:
@@ -578,7 +584,7 @@ def run_plan_kernel(
         events=table.sim.processed_events,
         stopped_early=stopped_early or error is not None,
         error=f"{type(error).__name__}: {error}" if error is not None else None,
-        trace=table.trace,
+        trace=table.trace if artifacts else None,
         wire=wire.records,
         storm=storm.core.snapshot() if storm is not None else None,
     )

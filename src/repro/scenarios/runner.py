@@ -4,10 +4,10 @@ The :class:`Runner` turns a registered scenario name into rows:
 
 * resolves the scenario and merges any per-call parameter overrides;
 * answers each seed from the spec-hash cache when allowed;
-* executes the remaining seeds — through a
-  :class:`concurrent.futures.ProcessPoolExecutor` when ``jobs > 1``,
-  falling back to the serial path whenever a pool cannot be built or
-  fed (sandboxed interpreters, unpicklable payloads);
+* executes the remaining seeds — over :func:`repro.pool.ordered_map`,
+  which fans out across processes when ``jobs > 1`` and runs the plain
+  loop whenever a pool cannot win or cannot be built (one CPU, already
+  inside a worker, sandboxed interpreters, unpicklable payloads);
 * returns a :class:`RunResult` whose ``rows`` are in seed order and
   therefore identical for any job count.
 
@@ -23,32 +23,27 @@ being scenario-aware.
 from __future__ import annotations
 
 import json
-import pickle
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro.pool import ordered_map
 from repro.scenarios.aggregate import aggregate_columns, aggregate_rows
 from repro.scenarios.cache import ResultCache
-from repro.scenarios.registry import Scenario, get_scenario
+from repro.scenarios.registry import get_scenario
 from repro.scenarios.spec import ScenarioSpec
 
 Rows = List[Dict[str, object]]
-
-# Failures that mean "this environment / payload cannot use a process
-# pool", as opposed to a genuine error inside the scenario itself.
-_POOL_FAILURES = (BrokenProcessPool, OSError, PermissionError, pickle.PicklingError)
 
 
 def _execute_seed(
     name: str,
     kwargs: Dict[str, object],
+    collect_metrics: bool,
+    collect_checks: bool,
     seed: int,
-    collect_metrics: bool = False,
-    collect_checks: bool = False,
 ) -> Tuple[Rows, float, Optional[dict], Optional[dict]]:
     """Pool worker: run one seed of a registered scenario.
 
@@ -92,15 +87,6 @@ def _call_seeded(run_fn, kwargs: Dict[str, object], seed_param: str, seed: int) 
     return run_fn(**call)
 
 
-def _picklable(*objects: object) -> bool:
-    try:
-        for obj in objects:
-            pickle.dumps(obj)
-    except Exception:
-        return False
-    return True
-
-
 def map_seeds(
     run_fn,
     *,
@@ -116,24 +102,8 @@ def map_seeds(
     silently degrades to the serial path — the results are identical
     either way, only the wall clock differs.
     """
-    seed_list = list(seeds)
-    kwargs = dict(kwargs or {})
-    if jobs > 1 and len(seed_list) > 1 and _picklable(run_fn, kwargs):
-        try:
-            with ProcessPoolExecutor(max_workers=min(jobs, len(seed_list))) as pool:
-                futures = [
-                    pool.submit(_call_seeded, run_fn, kwargs, seed_param, seed)
-                    for seed in seed_list
-                ]
-                return [future.result() for future in futures]
-        except _POOL_FAILURES:
-            pass
-    results: List[Rows] = []
-    for seed in seed_list:
-        call = dict(kwargs)
-        call[seed_param] = seed
-        results.append(run_fn(**call))
-    return results
+    call = partial(_call_seeded, run_fn, dict(kwargs or {}), seed_param)
+    return list(ordered_map(call, list(seeds), jobs=jobs))
 
 
 @dataclass(frozen=True)
@@ -289,7 +259,8 @@ class Runner:
                 cached[seed] = hit
 
         pending = [seed for seed in seed_list if seed not in cached]
-        computed = self._execute(scenario, kwargs, pending)
+        call = partial(_execute_seed, name, kwargs, self.collect_metrics, self.collect_checks)
+        computed = dict(zip(pending, ordered_map(call, pending, jobs=self.jobs)))
 
         if self.use_cache:
             for seed in pending:
@@ -320,35 +291,6 @@ class Runner:
             spec=effective,
             seed_results=seed_results,
         )
-
-    def _execute(
-        self, scenario: Scenario, kwargs: Dict[str, object], seeds: Sequence[int]
-    ) -> Dict[int, Tuple[Rows, float, Optional[dict], Optional[dict]]]:
-        if not seeds:
-            return {}
-        if self.jobs > 1 and len(seeds) > 1 and _picklable(kwargs):
-            try:
-                with ProcessPoolExecutor(max_workers=min(self.jobs, len(seeds))) as pool:
-                    futures = {
-                        seed: pool.submit(
-                            _execute_seed,
-                            scenario.name,
-                            kwargs,
-                            seed,
-                            self.collect_metrics,
-                            self.collect_checks,
-                        )
-                        for seed in seeds
-                    }
-                    return {seed: future.result() for seed, future in futures.items()}
-            except _POOL_FAILURES:
-                pass
-        return {
-            seed: _execute_seed(
-                scenario.name, kwargs, seed, self.collect_metrics, self.collect_checks
-            )
-            for seed in seeds
-        }
 
 
 def _json_faithful(rows: Rows) -> bool:

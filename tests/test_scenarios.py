@@ -1,7 +1,14 @@
 """Tests for the declarative scenario registry, runner, and result cache."""
 
+import concurrent.futures
+import time
+from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
+
 import pytest
 
+import repro.pool as pool_module
+from repro.pool import ordered_map, plan_workers
 from repro.scenarios import (
     ResultCache,
     Runner,
@@ -103,6 +110,94 @@ class TestRunnerDeterminism:
 
         rows = map_seeds(local_run, seeds=(1, 2), jobs=2)
         assert rows == [[{"seed": 1}], [{"seed": 2}]]
+
+
+def _late_is_quick(x: int) -> int:
+    """Later items finish first, so completion order is not item order."""
+    time.sleep(0.01 * (6 - x))
+    return x * x
+
+
+def _square(x: int) -> int:
+    return x * x
+
+
+class _BreaksOnThirdItem:
+    """Stands in for the executor: its third future holds a broken pool."""
+
+    def __init__(self, **kwargs):
+        self.submitted = 0
+
+    def shutdown(self, **kwargs):
+        pass
+
+    def submit(self, fn, item):
+        future = Future()
+        self.submitted += 1
+        if self.submitted >= 3:
+            future.set_exception(BrokenProcessPool("a worker died"))
+        else:
+            future.set_result(fn(item))
+        return future
+
+
+class TestOrderedMap:
+    def test_results_come_in_item_order(self):
+        assert list(ordered_map(_late_is_quick, range(6), jobs=2)) == [
+            x * x for x in range(6)
+        ]
+
+    def test_closing_stops_pulling_items(self):
+        pulled = []
+
+        def items():
+            for x in range(100):
+                pulled.append(x)
+                yield x
+
+        walk = ordered_map(_square, items(), jobs=2)
+        assert [next(walk), next(walk)] == [0, 1]
+        walk.close()
+        # Never more than one in-flight window ahead of what was consumed.
+        assert len(pulled) <= 2 + 2 * pool_module.WINDOW_PER_WORKER
+        assert pulled == list(range(len(pulled)))
+
+    def test_broken_pool_finishes_in_process(self, monkeypatch):
+        monkeypatch.setattr(pool_module, "available_cpus", lambda: 2)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _BreaksOnThirdItem)
+        assert list(ordered_map(_square, range(10), jobs=2)) == [x * x for x in range(10)]
+        assert list(ordered_map(_square, iter(range(10)), jobs=2)) == [
+            x * x for x in range(10)
+        ]
+
+    def test_pool_that_cannot_be_built_runs_in_process(self, monkeypatch):
+        def refuse(**kwargs):
+            raise PermissionError("no subprocesses here")
+
+        monkeypatch.setattr(pool_module, "available_cpus", lambda: 2)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+        assert list(ordered_map(_square, range(5), jobs=2)) == [0, 1, 4, 9, 16]
+
+    def test_nothing_to_win_means_one_worker(self, monkeypatch):
+        monkeypatch.setattr(pool_module, "available_cpus", lambda: 4)
+        assert plan_workers(None, 10) == 4
+        assert plan_workers(8, 10) == 4  # never more workers than CPUs
+        assert plan_workers(8, 3) == 3  # nor than items
+        assert plan_workers(2, 1) == 1  # a single item
+        assert plan_workers(2, 11, min_items=12) == 1  # below the caller's cut-over
+        assert plan_workers(1, 10) == 1
+        monkeypatch.setattr(pool_module, "available_cpus", lambda: 1)
+        assert plan_workers(None, 10) == plan_workers(4, 10) == 1
+
+    def test_worker_error_reraises_at_its_item(self):
+        walk = ordered_map(_reciprocal, [1, 2, 0, 4], jobs=2)
+        assert [next(walk), next(walk)] == [1.0, 0.5]
+        with pytest.raises(ZeroDivisionError):
+            next(walk)
+
+
+def _reciprocal(x: int) -> float:
+    return 1 / x
 
 
 class TestResultCache:
