@@ -8,31 +8,26 @@ system — the same growth rate :func:`repro.core.messages.message_size_bits`
 assigns it (the constant differs: real framing pays byte alignment and a
 length prefix).
 
-Frame layout (all varints unsigned LEB128)::
+Frame layout (all varints unsigned LEB128, at most 64 bits)::
 
     frame   := length:uvarint payload          # length = len(payload)
     payload := tag:u8 src:uvarint dst:uvarint seq:uvarint body context?
     tag     := kind | TRACED?                  # TRACED = 0x80 flag bit
-    kind    := 0x01 Ping | 0x02 Ack | 0x03 ForkRequest | 0x04 Fork
-             | 0x05 Heartbeat | 0x06 LeaseRequest | 0x07 LeaseGrant
-             | 0x08 LeaseRelease | 0x09 LeaseDenied
-             | 0x0a BakeryQuery | 0x0b BakeryNumber | 0x0c BakeryRequest
-             | 0x0d BakeryOk | 0x0e RaRequest | 0x0f RaReply
-             | 0x10 LrRequest | 0x11 LrBusy
-    body    := ""                              # Ping, Ack, Fork
-             | color:uvarint                   # ForkRequest
-             | sent_at:f64-big-endian          # Heartbeat
-             | resource:str ttl_ms:uvarint     # LeaseRequest
-             | lease_id:uvarint ttl_ms:uvarint # LeaseGrant
-             | lease_id:uvarint                # LeaseRelease
-             | reason:str                      # LeaseDenied
-             | ""                              # BakeryQuery, BakeryOk,
-                                               # RaReply, LrBusy
-             | number:uvarint                  # BakeryNumber, BakeryRequest
-             | clock:uvarint                   # RaRequest
-             | blocking:uvarint(0|1)           # LrRequest
+    kind    := 0x01 Ping .. 0x11 LrBusy        # tag column of _WIRE_TYPES
+    body    := field*                          # the row's fields, in order
+    field   := uvarint | f64-big-endian | str | flag
     str     := length:uvarint utf8-bytes       # length <= 64
+    flag    := uvarint(0|1)
     context := trace:uvarint span:uvarint lamport:uvarint  # iff TRACED
+
+**One table.**  ``_WIRE_TYPES`` below is the only place a message type
+is declared: its tag, its class, and its body as ``(attribute, field
+codec)`` pairs.  Encoding, decoding and :func:`frame_wire_bytes` are all
+driven by that one row, so **to add a message type, add one row** (and
+its golden vector); a new *kind of field* is one ``(write, read, size)``
+triple beside the four that exist.  A frame is written into a single
+``bytearray`` and decoded where it lies in the received chunk — no
+per-field or per-frame intermediate copies.
 
 The trace context is **optional and backward compatible**: a frame
 without the ``TRACED`` flag is byte-identical to the historical
@@ -53,12 +48,18 @@ The dining messages carry their sender pid in-band (``Ping.sender`` and
 friends); the envelope's ``src`` is authoritative for routing, and
 encoding refuses a message whose in-band sender disagrees with it, so a
 decoded message always reconstructs bit-for-bit.
+
+**Corrupt streams.**  :meth:`FrameDecoder.feed` raises
+:class:`WireCodecError` at the first malformed frame; the frames that
+completed before it ride on the exception (``exc.frames``) so a reader
+can deliver them, and the stream must then be closed — framing is lost
+(the decoder keeps the bytes from the bad frame on and fails again).
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Iterator, List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.baselines.messages import (
     BakeryNumber,
@@ -95,24 +96,10 @@ __all__ = [
 class WireCodecError(ReproError):
     """Malformed frame, unknown tag, or unencodable message."""
 
+    #: Set by :meth:`FrameDecoder.feed`: the frames of the same chunk
+    #: that decoded cleanly before the fault.
+    frames: Sequence[tuple] = ()
 
-TAG_PING = 0x01
-TAG_ACK = 0x02
-TAG_FORK_REQUEST = 0x03
-TAG_FORK = 0x04
-TAG_HEARTBEAT = 0x05
-TAG_LEASE_REQUEST = 0x06
-TAG_LEASE_GRANT = 0x07
-TAG_LEASE_RELEASE = 0x08
-TAG_LEASE_DENIED = 0x09
-TAG_BAKERY_QUERY = 0x0A
-TAG_BAKERY_NUMBER = 0x0B
-TAG_BAKERY_REQUEST = 0x0C
-TAG_BAKERY_OK = 0x0D
-TAG_RA_REQUEST = 0x0E
-TAG_RA_REPLY = 0x0F
-TAG_LR_REQUEST = 0x10
-TAG_LR_BUSY = 0x11
 
 #: Flag bit: the payload carries a trailing trace-context block.
 TAG_TRACED = 0x80
@@ -122,111 +109,244 @@ TAG_TRACED = 0x80
 #: :class:`repro.obs.tracing.SpanContext` is tuple-compatible with it.
 TraceTag = Tuple[int, int, int]
 
-_TAG_OF_TYPE = {
-    Ping: TAG_PING,
-    Ack: TAG_ACK,
-    ForkRequest: TAG_FORK_REQUEST,
-    Fork: TAG_FORK,
-    Heartbeat: TAG_HEARTBEAT,
-    LeaseRequest: TAG_LEASE_REQUEST,
-    LeaseGrant: TAG_LEASE_GRANT,
-    LeaseRelease: TAG_LEASE_RELEASE,
-    LeaseDenied: TAG_LEASE_DENIED,
-    BakeryQuery: TAG_BAKERY_QUERY,
-    BakeryNumber: TAG_BAKERY_NUMBER,
-    BakeryRequest: TAG_BAKERY_REQUEST,
-    BakeryOk: TAG_BAKERY_OK,
-    RaRequest: TAG_RA_REQUEST,
-    RaReply: TAG_RA_REPLY,
-    LrRequest: TAG_LR_REQUEST,
-    LrBusy: TAG_LR_BUSY,
-}
-
 #: Cap on the UTF-8 byte length of an in-frame string (resource names,
 #: denial reasons); keeps every lease frame under MAX_PAYLOAD_BYTES.
 MAX_STRING_BYTES = 64
 
-#: Hard ceiling on one frame's payload (a dining frame is ~10 bytes; even
-#: adversarial 64-bit ids stay under 64).  Keeps a corrupted length prefix
-#: from allocating unbounded buffers.
+#: Hard ceiling on one frame's payload (a dining frame is ~10 bytes; the
+#: largest valid frame — 64-bit ids, a 64-byte resource, a full context —
+#: is 136).  Keeps a corrupted length prefix from buffering unboundedly.
 MAX_PAYLOAD_BYTES = 256
 
 WireMessage = Tuple[int, int, int, object]  # (src, dst, seq, message)
 
+_CONTINUATION_SHIFTS = (7, 14, 21, 28, 35, 42, 49, 56, 63)  # varint bytes 2..10
+_BIG_ENDIAN_F64 = struct.Struct(">d")
+
 
 # ----------------------------------------------------------------------
-# Varints (unsigned LEB128)
+# Field codecs: ``(write(out, value), read(data, offset, end), size(value))``
 # ----------------------------------------------------------------------
-def _encode_uvarint(value: int) -> bytes:
+# Readers return ``(value, next_offset)``.  ``end`` is the frame's end in
+# ``data``: sized fields check it; a varint that overruns it is caught by
+# ``_read_payload``'s final offset check, or raises IndexError past ``data``.
+def _write_uvarint(out: bytearray, value: int) -> None:
     if value < 0:
         raise WireCodecError(f"cannot encode negative value {value} as uvarint")
-    out = bytearray()
-    while True:
-        byte = value & 0x7F
+    while value > 0x7F:
+        out.append(value & 0x7F | 0x80)
         value >>= 7
-        if value:
-            out.append(byte | 0x80)
-        else:
-            out.append(byte)
-            return bytes(out)
+    out.append(value)
 
 
-def _decode_uvarint(data: bytes, offset: int) -> Tuple[int, int]:
-    """Decode one uvarint at ``offset``; returns (value, next_offset)."""
-    result = 0
-    shift = 0
-    while True:
-        if offset >= len(data):
-            raise WireCodecError("truncated varint")
-        if shift > 63:
-            raise WireCodecError("varint exceeds 64 bits")
-        byte = data[offset]
+def _read_uvarint(data, offset: int, end: int = 0) -> Tuple[int, int]:
+    """Decode one uvarint at ``offset``; IndexError if ``data`` runs out."""
+    result = data[offset]
+    if result < 0x80:
+        return result, offset + 1
+    result &= 0x7F
+    for shift in _CONTINUATION_SHIFTS:
         offset += 1
+        byte = data[offset]
+        if byte < 0x80:
+            if shift == 63 and byte > 1:
+                break  # a tenth byte may only carry bit 63
+            return result | byte << shift, offset + 1
         result |= (byte & 0x7F) << shift
-        if not byte & 0x80:
-            return result, offset
-        shift += 7
+    raise WireCodecError("varint exceeds 64 bits")
 
 
 def _uvarint_size(value: int) -> int:
-    """Encoded byte length of ``value`` as an unsigned LEB128 varint."""
-    if value < 0:
-        raise WireCodecError(f"cannot encode negative value {value} as uvarint")
-    size = 1
-    value >>= 7
-    while value:
-        size += 1
-        value >>= 7
-    return size
+    if value < 0x80:
+        if value < 0:
+            raise WireCodecError(f"cannot encode negative value {value} as uvarint")
+        return 1
+    return (value.bit_length() + 6) // 7
 
 
-def _encode_string(text: str) -> bytes:
+def _write_string(out: bytearray, text: str) -> None:
     raw = text.encode("utf-8")
     if len(raw) > MAX_STRING_BYTES:
         raise WireCodecError(
             f"string of {len(raw)} UTF-8 bytes exceeds cap {MAX_STRING_BYTES}"
         )
-    return _encode_uvarint(len(raw)) + raw
+    _write_uvarint(out, len(raw))
+    out += raw
 
 
-def _decode_string(data: bytes, offset: int) -> Tuple[str, int]:
-    length, offset = _decode_uvarint(data, offset)
+def _read_string(data, offset: int, end: int) -> Tuple[str, int]:
+    length, offset = _read_uvarint(data, offset)
     if length > MAX_STRING_BYTES:
         raise WireCodecError(
             f"string of {length} UTF-8 bytes exceeds cap {MAX_STRING_BYTES}"
         )
-    end = offset + length
-    if end > len(data):
+    stop = offset + length
+    if stop > end:
         raise WireCodecError("truncated string")
     try:
-        return data[offset:end].decode("utf-8"), end
+        return str(data[offset:stop], "utf-8"), stop
     except UnicodeDecodeError as exc:
         raise WireCodecError(f"malformed UTF-8 string: {exc}") from None
+
+
+def _string_size(text: str) -> int:
+    raw = len(text.encode("utf-8"))
+    return _uvarint_size(raw) + raw
+
+
+def _write_f64(out: bytearray, value: float) -> None:
+    out += _BIG_ENDIAN_F64.pack(value)
+
+
+def _read_f64(data, offset: int, end: int) -> Tuple[float, int]:
+    if end - offset < 8:
+        raise WireCodecError("truncated heartbeat timestamp")
+    return _BIG_ENDIAN_F64.unpack_from(data, offset)[0], offset + 8
+
+
+def _write_flag(out: bytearray, value: bool) -> None:
+    out.append(1 if value else 0)
+
+
+def _read_flag(data, offset: int, end: int) -> Tuple[bool, int]:
+    value, offset = _read_uvarint(data, offset)
+    if value > 1:
+        raise WireCodecError(f"LrRequest blocking flag must be 0 or 1, got {value}")
+    return bool(value), offset
+
+
+_UVARINT = (_write_uvarint, _read_uvarint, _uvarint_size)
+_STRING = (_write_string, _read_string, _string_size)
+_F64 = (_write_f64, _read_f64, lambda value: 8)
+_FLAG = (_write_flag, _read_flag, lambda value: 1)
+
+# ----------------------------------------------------------------------
+# The wire-type table
+# ----------------------------------------------------------------------
+#: ``(tag, class, (attribute, field codec)...)``: every message type the
+#: wire carries, declared once.  ``sender`` is never listed — it rides in
+#: the envelope's ``src`` and is passed first to every class that has it.
+_WIRE_TYPES = (
+    (0x01, Ping),
+    (0x02, Ack),
+    (0x03, ForkRequest, ("color", _UVARINT)),
+    (0x04, Fork),
+    (0x05, Heartbeat, ("sent_at", _F64)),
+    (0x06, LeaseRequest, ("resource", _STRING), ("ttl_ms", _UVARINT)),
+    (0x07, LeaseGrant, ("lease_id", _UVARINT), ("ttl_ms", _UVARINT)),
+    (0x08, LeaseRelease, ("lease_id", _UVARINT)),
+    (0x09, LeaseDenied, ("reason", _STRING)),
+    (0x0A, BakeryQuery),
+    (0x0B, BakeryNumber, ("number", _UVARINT)),
+    (0x0C, BakeryRequest, ("number", _UVARINT)),
+    (0x0D, BakeryOk),
+    (0x0E, RaRequest, ("clock", _UVARINT)),
+    (0x0F, RaReply),
+    (0x10, LrRequest, ("blocking", _FLAG)),
+    (0x11, LrBusy),
+)
+
+
+def _compile_body(cls, fields):
+    """A row's ``(write_body, read_body, body_size)``; bodiless types share None."""
+    if not fields:
+        return None, None, None
+    in_band = "sender" in cls.__dataclass_fields__
+
+    def write_body(out: bytearray, message) -> None:
+        for name, (write, _, _) in fields:
+            write(out, getattr(message, name))
+
+    def read_body(data, offset: int, end: int, src: int):
+        values = [src] if in_band else []
+        for _, (_, read, _) in fields:
+            value, offset = read(data, offset, end)
+            values.append(value)
+        return cls(*values), offset
+
+    def body_size(message) -> int:
+        size = 0
+        for name, (_, _, measure) in fields:
+            size += measure(getattr(message, name))
+        return size
+
+    return write_body, read_body, body_size
+
+
+_ROW_OF_TYPE = {}  # class -> (tag, write_body, body_size)
+_ROW_OF_TAG = {}  # tag -> (class, read_body)
+for _tag, _cls, *_fields in _WIRE_TYPES:
+    _write_body, _read_body, _body_size = _compile_body(_cls, _fields)
+    _ROW_OF_TYPE[_cls] = (_tag, _write_body, _body_size)
+    _ROW_OF_TAG[_tag] = (_cls, _read_body)
+
+
+def _row_of(message):
+    try:
+        return _ROW_OF_TYPE[type(message)]
+    except KeyError:
+        raise WireCodecError(
+            f"no wire encoding for message type {type(message).__name__}"
+        ) from None
 
 
 # ----------------------------------------------------------------------
 # Message payloads
 # ----------------------------------------------------------------------
+def _write_payload(
+    out: bytearray, src: int, dst: int, seq: int, message, context: Optional[TraceTag]
+) -> None:
+    tag, write_body, _ = _row_of(message)
+    sender = getattr(message, "sender", None)
+    if sender is not None and sender != src:
+        raise WireCodecError(
+            f"in-band sender {sender} disagrees with envelope src {src}"
+        )
+    out.append(tag if context is None else tag | TAG_TRACED)
+    _write_uvarint(out, src)
+    _write_uvarint(out, dst)
+    _write_uvarint(out, seq)
+    if write_body is not None:
+        write_body(out, message)
+    if context is not None:
+        trace_id, span_id, lamport = context
+        _write_uvarint(out, trace_id)
+        _write_uvarint(out, span_id)
+        _write_uvarint(out, lamport)
+
+
+def _read_payload(data, offset: int, end: int):
+    """Decode the payload at ``data[offset:end]`` where it lies."""
+    if offset >= end:
+        raise WireCodecError("empty payload")
+    first = data[offset]
+    row = _ROW_OF_TAG.get(first & ~TAG_TRACED)
+    if row is None:
+        raise WireCodecError(f"unknown message tag 0x{first & ~TAG_TRACED:02x}")
+    cls, read_body = row
+    try:
+        src, offset = _read_uvarint(data, offset + 1)
+        dst, offset = _read_uvarint(data, offset)
+        seq, offset = _read_uvarint(data, offset)
+        if read_body is None:
+            message = cls(src)
+        else:
+            message, offset = read_body(data, offset, end, src)
+        context: Optional[TraceTag] = None
+        if first & TAG_TRACED:
+            trace_id, offset = _read_uvarint(data, offset)
+            span_id, offset = _read_uvarint(data, offset)
+            lamport, offset = _read_uvarint(data, offset)
+            context = (trace_id, span_id, lamport)
+    except IndexError:
+        raise WireCodecError("truncated varint") from None
+    if offset > end:  # a varint ran past this frame into the next
+        raise WireCodecError("truncated varint")
+    if offset < end:
+        raise WireCodecError(f"{end - offset} trailing byte(s) after tag 0x{first:02x}")
+    return src, dst, seq, message, context
+
+
 def encode_message(
     src: int, dst: int, seq: int, message, context: Optional[TraceTag] = None
 ) -> bytes:
@@ -236,130 +356,19 @@ def encode_message(
     trailing ``trace span lamport`` varint block; without it the bytes
     are identical to the pre-tracing encoding.
     """
-    tag = _TAG_OF_TYPE.get(type(message))
-    if tag is None:
-        raise WireCodecError(
-            f"no wire encoding for message type {type(message).__name__}"
-        )
-    sender = getattr(message, "sender", None)
-    if sender is not None and sender != src:
-        raise WireCodecError(
-            f"in-band sender {sender} disagrees with envelope src {src}"
-        )
-    head = (
-        bytes((tag | TAG_TRACED if context is not None else tag,))
-        + _encode_uvarint(src)
-        + _encode_uvarint(dst)
-        + _encode_uvarint(seq)
-    )
-    if tag == TAG_FORK_REQUEST:
-        head += _encode_uvarint(message.color)
-    elif tag == TAG_HEARTBEAT:
-        head += struct.pack(">d", message.sent_at)
-    elif tag == TAG_LEASE_REQUEST:
-        head += _encode_string(message.resource) + _encode_uvarint(message.ttl_ms)
-    elif tag == TAG_LEASE_GRANT:
-        head += _encode_uvarint(message.lease_id) + _encode_uvarint(message.ttl_ms)
-    elif tag == TAG_LEASE_RELEASE:
-        head += _encode_uvarint(message.lease_id)
-    elif tag == TAG_LEASE_DENIED:
-        head += _encode_string(message.reason)
-    elif tag in (TAG_BAKERY_NUMBER, TAG_BAKERY_REQUEST):
-        head += _encode_uvarint(message.number)
-    elif tag == TAG_RA_REQUEST:
-        head += _encode_uvarint(message.clock)
-    elif tag == TAG_LR_REQUEST:
-        head += _encode_uvarint(1 if message.blocking else 0)
-    if context is None:
-        return head
-    trace_id, span_id, lamport = context
-    return (
-        head
-        + _encode_uvarint(trace_id)
-        + _encode_uvarint(span_id)
-        + _encode_uvarint(lamport)
-    )
+    out = bytearray()
+    _write_payload(out, src, dst, seq, message, context)
+    return bytes(out)
 
 
 def decode_message_ex(payload: bytes) -> Tuple[int, int, int, object, Optional[TraceTag]]:
     """Decode one payload, surfacing the trace context when present."""
-    if not payload:
-        raise WireCodecError("empty payload")
-    tag = payload[0] & ~TAG_TRACED
-    traced = bool(payload[0] & TAG_TRACED)
-    src, offset = _decode_uvarint(payload, 1)
-    dst, offset = _decode_uvarint(payload, offset)
-    seq, offset = _decode_uvarint(payload, offset)
-    if tag == TAG_PING:
-        message: object = Ping(src)
-    elif tag == TAG_ACK:
-        message = Ack(src)
-    elif tag == TAG_FORK_REQUEST:
-        color, offset = _decode_uvarint(payload, offset)
-        message = ForkRequest(src, color)
-    elif tag == TAG_FORK:
-        message = Fork(src)
-    elif tag == TAG_HEARTBEAT:
-        if len(payload) - offset < 8:
-            raise WireCodecError("truncated heartbeat timestamp")
-        (sent_at,) = struct.unpack_from(">d", payload, offset)
-        offset += 8
-        message = Heartbeat(sent_at=sent_at)
-    elif tag == TAG_LEASE_REQUEST:
-        resource, offset = _decode_string(payload, offset)
-        ttl_ms, offset = _decode_uvarint(payload, offset)
-        message = LeaseRequest(src, resource, ttl_ms)
-    elif tag == TAG_LEASE_GRANT:
-        lease_id, offset = _decode_uvarint(payload, offset)
-        ttl_ms, offset = _decode_uvarint(payload, offset)
-        message = LeaseGrant(src, lease_id, ttl_ms)
-    elif tag == TAG_LEASE_RELEASE:
-        lease_id, offset = _decode_uvarint(payload, offset)
-        message = LeaseRelease(src, lease_id)
-    elif tag == TAG_LEASE_DENIED:
-        reason, offset = _decode_string(payload, offset)
-        message = LeaseDenied(src, reason)
-    elif tag == TAG_BAKERY_QUERY:
-        message = BakeryQuery(src)
-    elif tag == TAG_BAKERY_NUMBER:
-        number, offset = _decode_uvarint(payload, offset)
-        message = BakeryNumber(src, number)
-    elif tag == TAG_BAKERY_REQUEST:
-        number, offset = _decode_uvarint(payload, offset)
-        message = BakeryRequest(src, number)
-    elif tag == TAG_BAKERY_OK:
-        message = BakeryOk(src)
-    elif tag == TAG_RA_REQUEST:
-        clock, offset = _decode_uvarint(payload, offset)
-        message = RaRequest(src, clock)
-    elif tag == TAG_RA_REPLY:
-        message = RaReply(src)
-    elif tag == TAG_LR_REQUEST:
-        blocking, offset = _decode_uvarint(payload, offset)
-        if blocking > 1:
-            raise WireCodecError(f"LrRequest blocking flag must be 0 or 1, got {blocking}")
-        message = LrRequest(src, bool(blocking))
-    elif tag == TAG_LR_BUSY:
-        message = LrBusy(src)
-    else:
-        raise WireCodecError(f"unknown message tag 0x{tag:02x}")
-    context: Optional[TraceTag] = None
-    if traced:
-        trace_id, offset = _decode_uvarint(payload, offset)
-        span_id, offset = _decode_uvarint(payload, offset)
-        lamport, offset = _decode_uvarint(payload, offset)
-        context = (trace_id, span_id, lamport)
-    if offset != len(payload):
-        raise WireCodecError(
-            f"{len(payload) - offset} trailing byte(s) after tag 0x{payload[0]:02x}"
-        )
-    return src, dst, seq, message, context
+    return _read_payload(payload, 0, len(payload))
 
 
 def decode_message(payload: bytes) -> WireMessage:
     """Inverse of :func:`encode_message` (any trace context is dropped)."""
-    src, dst, seq, message, _ = decode_message_ex(payload)
-    return src, dst, seq, message
+    return _read_payload(payload, 0, len(payload))[:4]
 
 
 # ----------------------------------------------------------------------
@@ -369,36 +378,43 @@ def encode_frame(
     src: int, dst: int, seq: int, message, context: Optional[TraceTag] = None
 ) -> bytes:
     """One length-prefixed frame, ready for a byte stream."""
-    payload = encode_message(src, dst, seq, message, context)
-    return _encode_uvarint(len(payload)) + payload
-
-
-def decode_frame(data: bytes) -> WireMessage:
-    """Decode exactly one frame; trailing bytes are an error."""
-    length, offset = _decode_uvarint(data, 0)
-    if len(data) - offset != length:
-        raise WireCodecError(
-            f"frame length {length} disagrees with {len(data) - offset} payload bytes"
-        )
-    return decode_message(data[offset:])
+    out = bytearray(1)  # the length byte, patched once the payload is known
+    _write_payload(out, src, dst, seq, message, context)
+    length = len(out) - 1
+    if length < 0x80:  # every dining, lease and baseline frame
+        out[0] = length
+        return bytes(out)
+    prefix = bytearray()
+    _write_uvarint(prefix, length)
+    del out[0]
+    return bytes(prefix + out)
 
 
 def decode_frame_ex(data: bytes):
     """Like :func:`decode_frame`, also returning the trace context (or None)."""
-    length, offset = _decode_uvarint(data, 0)
+    try:
+        length, offset = _read_uvarint(data, 0)
+    except IndexError:
+        raise WireCodecError("truncated varint") from None
     if len(data) - offset != length:
         raise WireCodecError(
             f"frame length {length} disagrees with {len(data) - offset} payload bytes"
         )
-    return decode_message_ex(data[offset:])
+    return _read_payload(data, offset, len(data))
+
+
+def decode_frame(data: bytes) -> WireMessage:
+    """Decode exactly one frame; trailing bytes are an error."""
+    return decode_frame_ex(data)[:4]
 
 
 class FrameDecoder:
     """Incremental frame decoder for a byte stream.
 
-    Feed arbitrary chunks; complete frames come out in order.  Partial
-    frames stay buffered until their bytes arrive — exactly the reassembly
-    a TCP reader needs.
+    Feed arbitrary chunks; complete frames come out in order, decoded
+    where they lie in the chunk.  Only an unfinished trailing frame stays
+    buffered until its bytes arrive — exactly the reassembly a TCP reader
+    needs.  A malformed frame raises (module docstring, "Corrupt streams").
 
     With ``capture_context=True`` every decoded frame is a 5-tuple
     ``(src, dst, seq, message, context)`` where ``context`` is the
@@ -407,42 +423,47 @@ class FrameDecoder:
     """
 
     def __init__(self, *, capture_context: bool = False) -> None:
-        self._buffer = bytearray()
+        self._tail = b""
         self._capture_context = capture_context
 
     def feed(self, data: bytes) -> List[WireMessage]:
         """Absorb ``data``; return every now-complete frame."""
-        self._buffer.extend(data)
-        return list(self._drain())
-
-    def _drain(self) -> Iterator[WireMessage]:
-        while True:
-            try:
-                # The buffer is indexed directly (a bytearray yields ints,
-                # exactly like bytes) — no per-frame prefix copy.
-                length, offset = _decode_uvarint(self._buffer, 0)
-            except WireCodecError:
-                if len(self._buffer) >= 10:
-                    raise  # 10 bytes cannot fail to hold a sane length varint
-                return
-            if length > MAX_PAYLOAD_BYTES:
-                raise WireCodecError(
-                    f"frame payload of {length} bytes exceeds cap {MAX_PAYLOAD_BYTES}"
-                )
-            end = offset + length
-            if len(self._buffer) < end:
-                return
-            payload = bytes(self._buffer[offset:end])
-            del self._buffer[:end]
-            if self._capture_context:
-                yield decode_message_ex(payload)
-            else:
-                yield decode_message(payload)
+        if self._tail:
+            data = self._tail + data
+        frames: List[WireMessage] = []
+        capture = self._capture_context
+        offset = 0
+        size = len(data)
+        try:
+            while offset < size:
+                length = data[offset]
+                body = offset + 1
+                if length > 0x7F:
+                    try:
+                        length, body = _read_uvarint(data, offset)
+                    except IndexError:
+                        break  # the prefix itself is split across chunks
+                if length > MAX_PAYLOAD_BYTES:
+                    raise WireCodecError(
+                        f"frame payload of {length} bytes exceeds cap {MAX_PAYLOAD_BYTES}"
+                    )
+                end = body + length
+                if end > size:
+                    break
+                frame = _read_payload(data, body, end)
+                frames.append(frame if capture else frame[:4])
+                offset = end
+        except WireCodecError as exc:
+            exc.frames = frames
+            raise
+        finally:
+            self._tail = bytes(data[offset:])
+        return frames
 
     @property
     def pending_bytes(self) -> int:
         """Bytes buffered awaiting the rest of a frame."""
-        return len(self._buffer)
+        return len(self._tail)
 
 
 def frame_wire_bytes(
@@ -455,32 +476,10 @@ def frame_wire_bytes(
     frame sizes in its wire log; this computes the identical length from
     varint arithmetic alone, allocation-free.
     """
-    tag = _TAG_OF_TYPE.get(type(message))
-    if tag is None:
-        raise WireCodecError(
-            f"no wire encoding for message type {type(message).__name__}"
-        )
+    _, _, body_size = _row_of(message)
     size = 1 + _uvarint_size(src) + _uvarint_size(dst) + _uvarint_size(seq)
-    if tag == TAG_FORK_REQUEST:
-        size += _uvarint_size(message.color)
-    elif tag == TAG_HEARTBEAT:
-        size += 8
-    elif tag == TAG_LEASE_REQUEST:
-        raw = len(message.resource.encode("utf-8"))
-        size += _uvarint_size(raw) + raw + _uvarint_size(message.ttl_ms)
-    elif tag == TAG_LEASE_GRANT:
-        size += _uvarint_size(message.lease_id) + _uvarint_size(message.ttl_ms)
-    elif tag == TAG_LEASE_RELEASE:
-        size += _uvarint_size(message.lease_id)
-    elif tag == TAG_LEASE_DENIED:
-        raw = len(message.reason.encode("utf-8"))
-        size += _uvarint_size(raw) + raw
-    elif tag in (TAG_BAKERY_NUMBER, TAG_BAKERY_REQUEST):
-        size += _uvarint_size(message.number)
-    elif tag == TAG_RA_REQUEST:
-        size += _uvarint_size(message.clock)
-    elif tag == TAG_LR_REQUEST:
-        size += 1
+    if body_size is not None:
+        size += body_size(message)
     if context is not None:
         trace_id, span_id, lamport = context
         size += (

@@ -5,11 +5,12 @@ One :class:`AsyncHost` owns one event loop and hosts one or more
 :class:`~repro.net.substrate.LiveSubstrate`.  Everything the simulator
 kernel provided under virtual time is re-realised under wall-clock time:
 
-* **Links** — every message (local or remote) passes through the binary
-  codec.  Actors on the same host are linked through ``loop.call_soon``
-  (asyncio's FIFO ready queue preserves send order); actors on different
-  hosts are linked through one TCP or Unix-socket connection per directed
-  host pair (TCP byte ordering makes every directed channel FIFO).
+* **Links** — actors on the same host are linked through
+  ``loop.call_soon`` (asyncio's FIFO ready queue preserves send order;
+  the message object is handed over and only its would-be frame size is
+  accounted); actors on different hosts are linked through the binary
+  codec and one TCP or Unix-socket connection per directed host pair
+  (TCP byte ordering makes every directed channel FIFO).
 * **◇P₁** — the same :class:`~repro.detectors.heartbeat.HeartbeatDetector`
   used under the kernel, now driven by wall-clock timers: heartbeats every
   ``heartbeat_interval`` seconds, adaptive per-neighbor deadlines.
@@ -75,12 +76,17 @@ from repro.net.codec import (
 )
 from repro.net.substrate import LiveSubstrate
 from repro.obs.flight import FlightRecorder
-from repro.obs.instrument import NetworkInstrument, TraceInstrument
+from repro.obs.instrument import (
+    DELIVERED,
+    DROPPED,
+    SENT,
+    NetworkInstrument,
+    TraceInstrument,
+)
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import (
     Span,
     SpanAssembler,
-    SpanContext,
     completed_meals,
     dump_spans,
     flush_span_metrics,
@@ -420,7 +426,6 @@ class AsyncHost:
         # and a single call_soon flushes the batch — one syscall per loop
         # turn per peer instead of one writer.write per frame.
         self._out_buffers: Dict[int, bytearray] = {}
-        self._flush_pending: set = set()
         #: Installed by :meth:`repro.locks.service.LockService.install`.
         self.lock_service = None
 
@@ -477,7 +482,8 @@ class AsyncHost:
         context = None if self.tracer is None else self.tracer.send(now, src)
         name = type(message).__name__
         layer = message_layer(message)
-        if self._placement[dst] == self.host_index:
+        peer = self._placement[dst]
+        if peer == self.host_index:
             bits = 8 * frame_wire_bytes(src, dst, seq, message, context)
             self._wire(WireEvent("send", src, dst, name, layer, seq, now, bits))
             # Local edge: both endpoints observable, so the live per-edge
@@ -502,23 +508,21 @@ class AsyncHost:
                 self._delay_front[key] = when
                 self.loop.call_at(when, self._receive, src, dst, seq, message, context)
         else:
+            # Remote edge: only this end is observable, so traffic is
+            # counted by type (no per-edge occupancy — that is exact only
+            # where both endpoints are local; the cluster merge owns it).
             frame = encode_frame(src, dst, seq, message, context)
-            self._wire(
-                WireEvent("send", src, dst, name, layer, seq, now, 8 * len(frame))
-            )
-            self.registry.counter("net.messages_sent_total", type=name, layer=layer).inc()
-            peer = self._placement[dst]
+            bits = 8 * len(frame)
+            self._wire(WireEvent("send", src, dst, name, layer, seq, now, bits))
+            cells = self._net_probe.type_cells(message)
+            cells[SENT] += 1
             writer = self._writers.get(peer)
             if writer is None or writer.is_closing():
                 # The peer is gone (crashed hosts sever their links, and
                 # hosts wind down independently): the message is lost in
                 # transit, exactly a crash-model drop.
-                self._wire(
-                    WireEvent("drop", src, dst, name, layer, seq, now, 8 * len(frame))
-                )
-                self.registry.counter(
-                    "net.messages_dropped_total", type=name, layer=layer
-                ).inc()
+                self._wire(WireEvent("drop", src, dst, name, layer, seq, now, bits))
+                cells[DROPPED] += 1
             else:
                 self._buffer_frame(peer, frame)
 
@@ -529,21 +533,20 @@ class AsyncHost:
         """Append to the peer's output buffer; flush once per loop turn."""
         buffer = self._out_buffers.get(peer)
         if buffer is None:
-            buffer = self._out_buffers[peer] = bytearray()
-        buffer += frame
-        if peer not in self._flush_pending:
-            self._flush_pending.add(peer)
+            self._out_buffers[peer] = bytearray(frame)
             self.loop.call_soon(self._flush_peer, peer)
+        else:
+            buffer += frame
 
     def _flush_peer(self, peer: int) -> None:
-        self._flush_pending.discard(peer)
-        buffer = self._out_buffers.get(peer)
-        if not buffer:
+        # The buffer is handed to the transport, not copied: a peer has
+        # an entry here exactly while a flush is scheduled for it.
+        buffer = self._out_buffers.pop(peer, None)
+        if buffer is None:
             return
         writer = self._writers.get(peer)
         if writer is not None and not writer.is_closing():
-            writer.write(bytes(buffer))
-        buffer.clear()
+            writer.write(buffer)
 
     def _flush_all_peers(self) -> None:
         for peer in list(self._out_buffers):
@@ -595,24 +598,18 @@ class AsyncHost:
             if local_src:
                 self._net_probe.on_drop(src, dst, message, now)
             else:
-                self.registry.counter(
-                    "net.messages_dropped_total", type=name, layer=layer
-                ).inc()
+                self._net_probe.type_cells(message)[DROPPED] += 1
             return
         self._wire(
             WireEvent("deliver", src, dst, name, layer, seq, now, 0)
         )
         if self.tracer is not None:
-            if context is not None and type(context) is not SpanContext:
-                context = SpanContext(*context)
             self.tracer.receive(now, src, dst, name, context)
         self.checks.observe(DeliverEvent(now, src, dst, name, layer, seq))
         if local_src:
             self._net_probe.on_deliver(src, dst, message, now)
         else:
-            self.registry.counter(
-                "net.messages_delivered_total", type=name, layer=layer
-            ).inc()
+            self._net_probe.type_cells(message)[DELIVERED] += 1
         try:
             actor.deliver(src, message)
         except Exception as exc:  # noqa: BLE001 - every actor fault is a finding
@@ -775,6 +772,11 @@ class AsyncHost:
         sessions are not conflict-graph channels).  EOF or reset abandons
         every session bound to the connection, which is what starts the
         TTL-reclaim clock for a crashed client.
+
+        A malformed frame ends the connection: the frames that arrived
+        intact before it are still delivered, one finding is recorded,
+        and the socket is closed — framing is lost, and a sender left
+        writing to a reader that is gone would never see its drops.
         """
         decoder = FrameDecoder(capture_context=True)
         try:
@@ -782,11 +784,11 @@ class AsyncHost:
                 data = await reader.read(65536)
                 if not data:
                     return
+                fault = None
                 try:
                     frames = decoder.feed(data)
                 except WireCodecError as exc:
-                    self._record_violation(f"corrupt inbound stream: {exc}")
-                    return
+                    frames, fault = exc.frames, exc
                 for src, dst, seq, message, context in frames:
                     if message_layer(message) == "locks":
                         service = self.lock_service
@@ -799,6 +801,11 @@ class AsyncHost:
                             service.on_frame(src, message, writer)
                     else:
                         self._receive(src, dst, seq, message, context)
+                if fault is not None:
+                    self._record_violation(f"corrupt inbound stream: {fault}")
+                    if writer is not None:
+                        writer.close()
+                    return
         finally:
             if self.lock_service is not None and writer is not None:
                 self.lock_service.on_connection_lost(writer)

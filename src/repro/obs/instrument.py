@@ -78,6 +78,10 @@ class SimInstrument:
         self._queue_gauge.set(self._sim.queue_depth, self._sim.now)
 
 
+#: Indices into :meth:`NetworkInstrument.type_cells`.
+SENT, DELIVERED, DROPPED = 0, 1, 2
+
+
 class NetworkInstrument(NetworkMonitor):
     """Traffic counters plus the live per-edge in-transit gauge.
 
@@ -124,6 +128,19 @@ class NetworkInstrument(NetworkMonitor):
         self._type_meta[cls] = (cls.__name__, layer)
         entry = self._types[cls] = [0, 0, 0, 1 if layer == self._edge_layer else 0]
         return entry
+
+    def type_cells(self, message) -> List[int]:
+        """The traffic cells of ``type(message)``, indexed SENT/DELIVERED/DROPPED.
+
+        For traffic only one endpoint of which is observable (the live
+        host's cross-host edges): the caller bumps the type counts and
+        the per-edge occupancy, exact only with both ends in view, is
+        left alone.  :meth:`flush` renders the cells like any others.
+        """
+        try:
+            return self._types[type(message)]
+        except KeyError:
+            return self._type_entry(message)
 
     # -- NetworkMonitor hooks ------------------------------------------
     # The try/except around the type dict keeps the steady state at one

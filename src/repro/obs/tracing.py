@@ -361,7 +361,8 @@ class SpanAssembler:
         context: Optional[SpanContext] = None,
     ) -> None:
         """Merge one delivery into ``dst``'s clock; track fork arrivals."""
-        stamp = context.lamport if context is not None else 0
+        # By index: a remote frame's context is the codec's plain tuple.
+        stamp = context[2] if context is not None else 0
         local = self._clock.get(dst, 0)
         self._clock[dst] = (stamp if stamp > local else local) + 1
         if kind == "Fork":

@@ -36,19 +36,22 @@ from repro.net.codec import (
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "fixtures", "wire_golden.json")
 
-pids = st.integers(min_value=0, max_value=2**63 - 1)
-seqs = st.integers(min_value=0, max_value=2**63 - 1)
-colors = st.integers(min_value=0, max_value=2**63 - 1)
+# The full range a uvarint may carry: the decoder caps at 64 bits.
+U64_MAX = 2**64 - 1
+
+pids = st.integers(min_value=0, max_value=U64_MAX)
+seqs = st.integers(min_value=0, max_value=U64_MAX)
+colors = st.integers(min_value=0, max_value=U64_MAX)
 timestamps = st.floats(allow_nan=False, allow_infinity=False)
 contexts = st.tuples(
-    st.integers(min_value=0, max_value=2**63 - 1),  # trace id
-    st.integers(min_value=0, max_value=2**63 - 1),  # span id
-    st.integers(min_value=0, max_value=2**63 - 1),  # lamport
+    st.integers(min_value=0, max_value=U64_MAX),  # trace id
+    st.integers(min_value=0, max_value=U64_MAX),  # span id
+    st.integers(min_value=0, max_value=U64_MAX),  # lamport
 )
 
 
 ttls = st.integers(min_value=0, max_value=2**31 - 1)
-lease_ids = st.integers(min_value=0, max_value=2**63 - 1)
+lease_ids = st.integers(min_value=0, max_value=U64_MAX)
 # Unicode strings whose UTF-8 encoding fits the in-frame cap.
 short_strings = st.text(min_size=0, max_size=MAX_STRING_BYTES // 4)
 
@@ -321,6 +324,36 @@ def test_decoder_rejects_oversized_length_prefix():
         decoder.feed(encode_frame(0, 0, 0, Ping(0)) + b"\xff\xff\x7f")
 
 
+def test_decode_rejects_varint_wider_than_64_bits():
+    """The cap is on the value, not the byte count: a tenth byte may carry
+    bit 63 and nothing else (ten bytes could otherwise smuggle 70 bits)."""
+    seventy_bits = b"\xff" * 9 + b"\x7f"
+    with pytest.raises(WireCodecError, match="exceeds 64 bits"):
+        decode_message(b"\x01" + seventy_bits + b"\x02\x03")
+    with pytest.raises(WireCodecError, match="exceeds 64 bits"):
+        decode_message(b"\x01" + b"\xff" * 9 + b"\x02" + b"\x02\x03")
+    with pytest.raises(WireCodecError, match="exceeds 64 bits"):
+        decode_message(b"\x01" + b"\xff" * 10 + b"\x01" + b"\x02\x03")
+    payload = encode_message(U64_MAX, 2, 3, Ping(U64_MAX))
+    assert payload[1:11] == b"\xff" * 9 + b"\x01"
+    assert decode_message(payload) == (U64_MAX, 2, 3, Ping(U64_MAX))
+
+
+def test_corrupt_stream_surrenders_the_frames_before_the_fault():
+    """feed() raises at the malformed frame, but what decoded cleanly
+    before it rides on the exception; the decoder stays poisoned."""
+    good = [(1, 0, 1, Ping(1)), (1, 0, 2, ForkRequest(1, 3))]
+    stream = b"".join(encode_frame(*e) for e in good) + b"\x02\x7f\x00"
+    decoder = FrameDecoder()
+    with pytest.raises(WireCodecError) as caught:
+        decoder.feed(stream)
+    assert caught.value.frames == good
+    assert decoder.pending_bytes == 3
+    with pytest.raises(WireCodecError) as again:
+        decoder.feed(encode_frame(1, 0, 3, Ping(1)))
+    assert again.value.frames == []
+
+
 def test_encode_rejects_oversized_resource_name():
     with pytest.raises(WireCodecError):
         encode_message(1, 0, 1, LeaseRequest(1, "r" * (MAX_STRING_BYTES + 1), 100))
@@ -338,3 +371,94 @@ def test_lease_round_trip_unicode_resource():
     message = LeaseRequest(1048576, "café/α", 500)
     frame = encode_frame(1048576, 0, 1, message)
     assert decode_frame(frame) == (1048576, 0, 1, message)
+
+
+# ----------------------------------------------------------------------
+# Framing edges: two-byte length prefix, every split point, LEB128 reference
+# ----------------------------------------------------------------------
+def _reference_leb128(value):
+    """Textbook unsigned LEB128, independent of the codec under test."""
+    out = []
+    while True:
+        group = value % 128
+        value //= 128
+        if value == 0:
+            out.append(group)
+            return bytes(out)
+        out.append(group + 128)
+
+
+#: The largest frame the format allows: 64-bit ids, a 64-byte resource and
+#: a full trace context push the payload past 127 bytes, so the length
+#: prefix itself is a two-byte varint — which no generated frame reaches.
+_WIDE = (U64_MAX, 2**63, 2**63 + 5, LeaseRequest(U64_MAX, "r" * MAX_STRING_BYTES, U64_MAX))
+_WIDE_CONTEXT = (U64_MAX, 2**63, U64_MAX)
+
+
+def test_two_byte_length_prefix_round_trips():
+    frame = encode_frame(*_WIDE, _WIDE_CONTEXT)
+    payload = encode_message(*_WIDE, _WIDE_CONTEXT)
+    assert len(payload) >= 128
+    assert frame == _reference_leb128(len(payload)) + payload
+    assert frame[0] & 0x80 and not frame[1] & 0x80  # prefix is two bytes
+    assert frame_wire_bytes(*_WIDE, _WIDE_CONTEXT) == len(frame)
+    assert decode_frame_ex(frame) == (*_WIDE, _WIDE_CONTEXT)
+    decoder = FrameDecoder(capture_context=True)
+    assert decoder.feed(frame) == [(*_WIDE, _WIDE_CONTEXT)]
+    assert decoder.pending_bytes == 0
+
+
+def test_stream_split_at_every_byte_offset():
+    """Cut a multi-frame stream in two at each offset — inside the
+    two-byte length prefix, inside a multi-byte seq, inside the string,
+    inside the context: the same frames come out, and ``pending_bytes``
+    is exactly the unfinished frame's bytes after the first half."""
+    batch = [
+        ((3, 5, 1, Ping(3)), None),
+        ((3, 5, 300_000, ForkRequest(3, 200)), (0x300000007, 2, 70_000)),
+        (_WIDE, _WIDE_CONTEXT),
+        ((1, 2, 2**14, Heartbeat(sent_at=0.25)), None),
+        ((5, 3, 2, Fork(5)), (7, 1, 9)),
+    ]
+    frames = [encode_frame(*envelope, context) for envelope, context in batch]
+    stream = b"".join(frames)
+    expected = [(*envelope, context) for envelope, context in batch]
+    boundaries = [sum(map(len, frames[:i])) for i in range(len(frames) + 1)]
+    for cut in range(len(stream) + 1):
+        decoder = FrameDecoder(capture_context=True)
+        first = decoder.feed(stream[:cut])
+        complete = max(b for b in boundaries if b <= cut)
+        assert first == expected[: boundaries.index(complete)]
+        assert decoder.pending_bytes == cut - complete
+        assert first + decoder.feed(stream[cut:]) == expected
+        assert decoder.pending_bytes == 0
+    # ... and one byte at a time, the pending count never loses a byte.
+    decoder = FrameDecoder(capture_context=True)
+    decoded = []
+    for index in range(len(stream)):
+        decoded.extend(decoder.feed(stream[index:index + 1]))
+        assert decoder.pending_bytes == index + 1 - max(
+            b for b in boundaries if b <= index + 1
+        )
+    assert decoded == expected
+
+
+@pytest.mark.parametrize("field", ["src", "dst", "seq", "color", "trace", "span", "lamport"])
+@pytest.mark.parametrize("exponent", [7, 14, 63])
+def test_envelope_fields_match_reference_leb128_at_boundaries(field, exponent):
+    """Each varint field, just below / at / just above a byte-count
+    boundary, is byte-for-byte the reference encoding."""
+    for value in (2**exponent - 1, 2**exponent, 2**exponent + 1):
+        values = dict(src=3, dst=5, seq=1, color=2, trace=7, span=1, lamport=9)
+        values[field] = value
+        message = ForkRequest(values["src"], values["color"])
+        context = (values["trace"], values["span"], values["lamport"])
+        payload = b"\x83" + b"".join(
+            _reference_leb128(values[name])
+            for name in ("src", "dst", "seq", "color", "trace", "span", "lamport")
+        )
+        envelope = (values["src"], values["dst"], values["seq"], message)
+        assert encode_message(*envelope, context) == payload
+        assert encode_frame(*envelope, context) == _reference_leb128(len(payload)) + payload
+        assert decode_message_ex(payload) == (*envelope, context)
+        assert frame_wire_bytes(*envelope, context) == len(payload) + 1

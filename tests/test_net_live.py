@@ -365,3 +365,189 @@ def test_flight_recorder_dumps_on_fail_and_replays(tmp_path):
     edges = sorted(ring(3).edges)
     verdict = replay(edges, events, CheckConfig(channel_bound=0))
     assert verdict.properties["channel-bound"].status == "fail"
+
+
+# ----------------------------------------------------------------------
+# The wire path: codec seams, remote-edge traffic totals, corrupt streams
+# ----------------------------------------------------------------------
+def _unix_pair(tmp_path, duration, graph=None):
+    """Two in-process hosts on one ring, linked by unix sockets.
+
+    Block placement: each host keeps some ring edges local and shares
+    two with its peer, so one run exercises both kinds of edge.
+    """
+    import time
+
+    graph = graph if graph is not None else ring(6)
+    half = len(graph.nodes) // 2
+    placement = {pid: int(pid >= half) for pid in graph.nodes}
+    addresses = {index: str(tmp_path / f"host-{index}.sock") for index in range(2)}
+    epoch = time.time() + 0.1
+    return [
+        AsyncHost(
+            graph,
+            local_pids=[pid for pid in graph.nodes if placement[pid] == index],
+            config=_fast_config(duration),
+            placement=placement,
+            host_index=index,
+            addresses=addresses,
+            transport="unix",
+            epoch=epoch,
+        )
+        for index in range(2)
+    ]
+
+
+def _run_together(hosts, meanwhile=None):
+    import asyncio
+
+    async def scenario():
+        runs = asyncio.gather(*(host.run() for host in hosts))
+        try:
+            return None if meanwhile is None else await meanwhile()
+        finally:
+            await runs
+
+    return asyncio.run(scenario())
+
+
+def test_remote_frames_pass_through_the_host_module_codec_seams(tmp_path, monkeypatch):
+    """The performance ledger measures the wire path by rebinding
+    ``repro.net.host.encode_frame`` and ``repro.net.host.FrameDecoder``
+    (benchmarks/ledger/probes.py, extras.py).  Both must be resolved
+    through the module at use time for every remote frame: inlining or
+    pre-binding either would silently zero the ``net.codec.*`` rows."""
+    import repro.net.host as host_module
+
+    calls = {"encoded": 0, "decoded": 0}
+    real_encode = host_module.encode_frame
+
+    def counting_encode(*args):
+        calls["encoded"] += 1
+        return real_encode(*args)
+
+    class CountingDecoder(host_module.FrameDecoder):
+        def feed(self, data):
+            frames = super().feed(data)
+            calls["decoded"] += len(frames)
+            return frames
+
+    monkeypatch.setattr(host_module, "encode_frame", counting_encode)
+    monkeypatch.setattr(host_module, "FrameDecoder", CountingDecoder)
+    hosts = _unix_pair(tmp_path, 0.3)
+    _run_together(hosts)
+
+    sent = arrived = 0
+    for host in hosts:
+        assert host.violations == []
+        for event in host.wire_events:
+            if event.kind == "send":
+                sent += host.placement[event.dst] != host.host_index
+            elif host.placement[event.src] != host.host_index:
+                arrived += 1  # deliver, or drop at a crashed actor
+    assert sent > 0 and arrived > 0
+    assert calls["encoded"] == sent
+    assert calls["decoded"] == arrived
+
+
+def test_remote_edge_traffic_totals_match_the_wire_log(tmp_path):
+    """Cross-host sends, deliveries and drops are counted in the same
+    ``net.messages_*_total{type,layer}`` counters as local ones: after a
+    run each host's totals equal its own wire log, and a mid-run
+    snapshot (what a /metrics scrape renders) already shows them."""
+    import asyncio
+    from collections import Counter
+
+    from repro.obs.metrics import counter_total
+
+    hosts = _unix_pair(tmp_path, 0.4)
+
+    async def scrape_mid_run():
+        await asyncio.sleep(0.35)
+        return [host.registry.snapshot() for host in hosts]
+
+    for snapshot in _run_together(hosts, scrape_mid_run):
+        assert counter_total(snapshot, "net.messages_sent_total", type="Ping") > 0
+        assert counter_total(snapshot, "net.messages_delivered_total", type="Ping") > 0
+
+    metric_of_kind = {
+        "send": "net.messages_sent_total",
+        "deliver": "net.messages_delivered_total",
+        "drop": "net.messages_dropped_total",
+    }
+    for host in hosts:
+        assert host.violations == []
+        logged = Counter(
+            (metric_of_kind[event.kind], event.type, event.layer)
+            for event in host.wire_events
+        )
+        counted = {
+            (entry["name"], entry["labels"]["type"], entry["labels"]["layer"]): entry["value"]
+            for entry in host.registry.snapshot()["counters"]
+            if entry["name"] in metric_of_kind.values() and entry["value"]
+        }
+        assert counted == dict(logged)
+        remote = [
+            event for event in host.wire_events
+            if host.placement[event.src] != host.placement[event.dst]
+        ]
+        assert remote, "block placement must leave cross-host edges"
+
+
+def test_corrupt_inbound_stream_delivers_then_closes(tmp_path):
+    """Garbage after a valid frame, in one write: the valid frame is
+    delivered, exactly one finding is recorded, the host closes the
+    connection (the sender sees EOF instead of writing into the void),
+    and the run still completes with a verdict."""
+    import asyncio
+
+    from repro.core.messages import Ping
+    from repro.net.codec import encode_frame
+
+    placement = {0: 0, 1: 1, 2: 1}
+    addresses = {index: str(tmp_path / f"host-{index}.sock") for index in range(2)}
+    host = AsyncHost(
+        ring(3),
+        local_pids=[0],
+        config=_fast_config(1.0),
+        placement=placement,
+        host_index=0,
+        addresses=addresses,
+        transport="unix",
+    )
+
+    async def swallow(reader, writer):
+        # Stands in for host 1: accepts host 0's dial and reads it dry.
+        while await reader.read(65536):
+            pass
+        writer.close()
+
+    async def scenario():
+        peer = await asyncio.start_unix_server(swallow, path=addresses[1])
+        run = asyncio.ensure_future(host.run())
+        try:
+            while not os.path.exists(addresses[0]):
+                await asyncio.sleep(0.01)
+            await asyncio.sleep(0.2)  # the host's actors have started
+            reader, writer = await asyncio.open_unix_connection(addresses[0])
+            writer.write(encode_frame(1, 0, 1, Ping(1)) + b"\xff\xff\x7f garbage")
+            # Well inside the run: EOF must come from the fault, not from
+            # the host's own shutdown half a second later.
+            eof = await asyncio.wait_for(reader.read(), timeout=0.3)
+            writer.close()
+            return eof
+        finally:
+            await run
+            peer.close()
+            await peer.wait_closed()
+
+    assert asyncio.run(scenario()) == b""
+    delivered = [
+        (event.src, event.dst, event.type, event.seq)
+        for event in host.wire_events
+        if event.kind == "deliver"
+    ]
+    assert delivered == [(1, 0, "Ping", 1)]
+    assert len(host.violations) == 1
+    assert host.violations[0].startswith("corrupt inbound stream: ")
+    assert host.result()["verdict"]["ok"] in (True, False)

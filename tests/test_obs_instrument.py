@@ -124,6 +124,27 @@ class TestDeltaSafety:
         assert total == table.sim.processed_events
 
 
+    def test_one_ended_traffic_counts_by_type_without_touching_edges(self):
+        """``type_cells`` is how the live host counts cross-host frames:
+        same counters as the monitor hooks, delta-safe, no edge gauge."""
+        from repro.core.messages import Fork, Ping
+        from repro.obs.instrument import DELIVERED, DROPPED, SENT, NetworkInstrument
+
+        registry = MetricsRegistry()
+        probe = NetworkInstrument(registry, run="t")
+        probe.on_send(0, 1, Ping(0), 1.0)  # a two-ended (local) send
+        probe.type_cells(Ping(0))[SENT] += 1  # a one-ended (remote) send
+        probe.type_cells(Fork(1))[DELIVERED] += 1
+        probe.flush()
+        probe.type_cells(Fork(1))[DROPPED] += 1
+        probe.flush()
+        snapshot = registry.snapshot()
+        assert counter_total(snapshot, "net.messages_sent_total", type="Ping") == 2
+        assert counter_total(snapshot, "net.messages_delivered_total", type="Fork") == 1
+        assert counter_total(snapshot, "net.messages_dropped_total", type="Fork") == 1
+        assert probe.edge_peaks() == {(0, 1): 1}
+
+
 class TestProfilerAndPhases:
     def test_hotspots_account_for_real_work(self):
         with collecting() as registry:
