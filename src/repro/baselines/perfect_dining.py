@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from repro.core.table import DiningTable, perfect_detector
 from repro.graphs.conflict import ConflictGraph
-from repro.sim.time import Duration
+from repro.timebase import Duration
 
 
 def perfect_dining_table(

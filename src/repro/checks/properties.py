@@ -616,6 +616,11 @@ class PendingPingChecker(Checker):
             self._outstanding[pair] -= 1
 
     def note_membership(self, verb: str, pid: ProcessId, edges: tuple) -> None:
+        """Offline replay of a delta: counted, then :meth:`retire_stale`."""
+        self.observed += 1
+        self.retire_stale(verb, pid, edges)
+
+    def retire_stale(self, verb: str, pid: ProcessId, edges: tuple = ()) -> None:
         """A delta rebuilt links hygienically: retire their old pings.
 
         A join or rejoin of ``pid`` tears down and rebuilds every link
@@ -623,12 +628,14 @@ class PendingPingChecker(Checker):
         ping outstanding from the link's earlier incarnation was retired
         by that teardown (its ack can never arrive — the channel is
         fenced), so it must not make the fresh link's first ping look
-        like a Lemma 2.2 duplicate.  This is the offline-replay twin of
-        the online adapters' ``note_rejoin``/``note_edge_reset``; a
-        ``leave`` deliberately clears nothing — traffic still aimed at a
-        departed pid is exactly what the checker exists to count.
+        like a Lemma 2.2 duplicate.  A ``leave`` deliberately clears
+        nothing — traffic still aimed at a departed pid is exactly what
+        the checker exists to count.  Offline replay gets here through
+        :meth:`note_membership`; online the shared delta interpreter
+        (:func:`repro.core.assembly.apply_delta`) calls it directly, so
+        ``observed`` counts stream events only.  Pairs are deleted in
+        place: the kernel adapter's inline guard shares the dict.
         """
-        self.observed += 1
         if verb in ("join", "rejoin"):
             stale = [pair for pair in self._outstanding if pid in pair]
         elif verb == "add_edge" and edges:

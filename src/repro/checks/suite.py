@@ -8,12 +8,16 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Ty
 
 from repro.checks.base import Checker
 from repro.checks.dynamic import (
+    EDGE_EXCLUSION,
     EdgeScopedExclusionChecker,
     EpochChannelBoundChecker,
     ResidencyProgressChecker,
     ResidencyQuiescenceChecker,
 )
 from repro.checks.properties import (
+    OVERTAKING,
+    PROGRESS,
+    WX_SAFETY,
     ChannelBoundChecker,
     DinerLocalChecker,
     FifoChecker,
@@ -109,6 +113,29 @@ class CheckSuite:
             if checker.name == name:
                 return checker
         raise KeyError(name)
+
+    def bind_windows(
+        self,
+        settle: Optional[float] = None,
+        patience: Optional[float] = None,
+        after: Optional[float] = None,
+    ) -> None:
+        """Bind the eventual properties' judgement windows before finalize.
+
+        ``settle`` bounds ◇WX (and its edge-scoped variant, which only a
+        dynamic suite carries), ``patience`` wait-freedom, ``after``
+        ◇2-BW; a window left ``None`` stays as configured (default:
+        informational).
+        """
+        if settle is not None:
+            self.checker(WX_SAFETY).settle = settle
+            for checker in self.checkers:
+                if checker.name == EDGE_EXCLUSION:
+                    checker.settle = settle
+        if patience is not None:
+            self.checker(PROGRESS).patience = patience
+        if after is not None:
+            self.checker(OVERTAKING).after = after
 
     def observe(self, event) -> List[Violation]:
         """Feed one event; returns (and records) immediate violations."""

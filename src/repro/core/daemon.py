@@ -34,7 +34,7 @@ from repro.graphs.coloring import Coloring
 from repro.graphs.conflict import ConflictGraph, ProcessId
 from repro.sim.crash import CrashPlan
 from repro.sim.latency import LatencyModel
-from repro.sim.time import Duration, Instant
+from repro.timebase import Duration, Instant
 
 
 class DistributedDaemon:

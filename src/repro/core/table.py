@@ -34,8 +34,9 @@ from typing import Callable, Dict, List, Optional
 
 from repro.checks.context import active_collector
 from repro.checks.properties import CHANNEL_BOUND, QUIESCENCE
-from repro.checks.suite import CheckConfig, standard_suite
+from repro.checks.suite import CheckConfig
 from repro.checks.verdict import Verdict
+from repro.core.assembly import Wiring, apply_delta
 from repro.core.diner import DinerActor, EatCallback
 from repro.core.workload import AlwaysHungry, Workload
 from repro.detectors.base import FailureDetector, NullDetector
@@ -43,9 +44,9 @@ from repro.detectors.heartbeat import HeartbeatDetector
 from repro.detectors.perfect import PerfectDetector
 from repro.detectors.scripted import ScriptedDetector
 from repro.errors import ConfigurationError
-from repro.graphs.coloring import Coloring, greedy_coloring, validate_coloring
+from repro.graphs.coloring import Coloring
 from repro.graphs.conflict import ConflictGraph, ProcessId
-from repro.graphs.membership import MembershipDelta, MembershipLog, TopologyTimeline
+from repro.graphs.membership import MembershipLog
 from repro.obs.context import active_registry
 from repro.obs.instrument import instrument_table
 from repro.sim.checks import KernelCheckAdapter, raise_violation
@@ -55,7 +56,7 @@ from repro.sim.kernel import Simulator
 from repro.sim.latency import FixedLatency, LatencyModel
 from repro.sim.monitors import ChannelOccupancyMonitor, MessageStats, QuiescenceMonitor
 from repro.sim.network import Network
-from repro.sim.time import Duration, Instant
+from repro.timebase import Duration, Instant
 from repro.trace import analysis
 from repro.trace.recorder import TraceRecorder
 
@@ -223,18 +224,14 @@ class DiningTable:
         membership: Optional[MembershipLog] = None,
     ) -> None:
         self.graph = graph
-        # Dynamic membership: a non-empty log makes the topology epoched.
-        # Everything graph-shaped (coloring, detector scopes, the checked
-        # edge set) is then derived from the *union* graph — every node
-        # and edge that ever exists — so joiners find their color and
-        # detector module waiting, while each diner's live link set is
-        # narrowed to its current view.  With no log the union IS the
-        # initial graph object and the static wiring below is untouched.
-        self.membership = membership if membership is not None else MembershipLog()
-        dynamic = bool(self.membership)
-        self.timeline = TopologyTimeline(graph, self.membership) if dynamic else None
-        union = self.timeline.union() if dynamic else graph
-        self.union_graph = union
+        # One wiring for every substrate (repro.core.assembly): with a
+        # non-empty membership log everything graph-shaped is derived
+        # from the union graph; with none the union IS ``graph``.
+        self.wiring = wiring = Wiring(graph, membership, coloring, diner_factory)
+        self.membership = wiring.membership
+        self.timeline = wiring.timeline
+        self.union_graph = union = wiring.union
+        self.coloring = wiring.coloring
         self.crash_plan = crash_plan if crash_plan is not None else CrashPlan.none()
         for pid in self.crash_plan.faulty:
             if pid not in union:
@@ -244,38 +241,15 @@ class DiningTable:
         self.trace = trace if trace is not None else TraceRecorder()
         self.network = Network(self.sim, latency=latency or FixedLatency(1.0))
 
-        self.coloring = coloring if coloring is not None else greedy_coloring(union)
-        validate_coloring(union, self.coloring)
-
         factory = detector if detector is not None else scripted_detector()
         self.detector = factory(self.sim, union, self.crash_plan)
 
         self.workload = workload if workload is not None else AlwaysHungry()
 
-        make_diner = diner_factory if diner_factory is not None else DinerActor
+        self._on_eat = on_eat
         self.diners: Dict[ProcessId, DinerActor] = {}
         for pid in graph.nodes:
-            if dynamic:
-                diner = make_diner(
-                    pid,
-                    union,
-                    self.coloring,
-                    self.detector,
-                    self.workload,
-                    self.trace,
-                    on_eat=on_eat,
-                    neighbors=graph.neighbors(pid),
-                )
-            else:
-                diner = make_diner(
-                    pid,
-                    graph,
-                    self.coloring,
-                    self.detector,
-                    self.workload,
-                    self.trace,
-                    on_eat=on_eat,
-                )
+            diner = wiring.build_diner(self, pid, on_eat=on_eat)
             self.diners[pid] = diner
             self.network.register(diner)
 
@@ -296,25 +270,14 @@ class DiningTable:
             config.channel_bound = channel_bound
             config.crash_time_of = self.crash_plan.as_dict().get
             if config.correct is None:
-                # Dynamic runs judge wait-freedom on the final topology's
-                # residents: a process that left for good owes no meals.
-                nodes = (
-                    self.timeline.final().graph.nodes if dynamic else graph.nodes
-                )
-                config.correct = self.crash_plan.correct(nodes)
+                config.correct = self.crash_plan.correct(wiring.residents)
             if registry is not None and getattr(registry, "profile", False):
                 config.profile = True
-            # Proof-level local invariants (ack/replied scoping, the phase
-            # nesting, Lemma 2.2) only make sense for diners built on
-            # Algorithm 1's variable set.
-            diner_locals = all(isinstance(d, DinerActor) for d in self.diners.values())
-            self.checks = standard_suite(
+            self.checks = wiring.build_suite(
                 sorted(union.edges),
                 config,
-                diner_locals=diner_locals,
-                on_violation=None if strict_checks is False else raise_violation,
-                dynamic=dynamic,
-                membership=self.timeline,
+                self.diners,
+                None if strict_checks is False else raise_violation,
             )
 
         # Monitors (always on: cheap, and every experiment reads them).
@@ -369,45 +332,38 @@ class DiningTable:
         if callable(install):
             install()
 
-        self._epoch = 0
-        self._make_diner = make_diner
-        self._on_eat = on_eat
-        if dynamic:
-            # Deltas fire at CONTROL priority in log order (the log is
-            # time-sorted and the kernel breaks same-instant ties by
-            # scheduling order), so the live epoch counter walks the
-            # timeline's snapshots in lock-step.
-            self.sim.set_membership_handler(self._apply_delta)
-            for delta in self.membership:
-                self.sim.schedule_at(
-                    delta.time,
-                    lambda d=delta: self.sim.apply_membership_delta(d),
-                    priority=EventPriority.CONTROL,
-                    label=f"membership {delta.verb} {delta.pid}",
-                )
+        # Deltas fire at CONTROL priority in log order (the log is
+        # time-sorted and the kernel breaks same-instant ties by
+        # scheduling order), so the live epoch counter walks the
+        # timeline's snapshots in lock-step.
+        for delta in self.membership:
+            self.sim.schedule_at(
+                delta.time,
+                lambda d=delta: apply_delta(self, d),
+                priority=EventPriority.CONTROL,
+                label=f"membership {delta.verb} {delta.pid}",
+            )
 
         self._started = False
 
     # ------------------------------------------------------------------
-    # Dynamic membership
+    # Dynamic membership: the seat repro.core.assembly.apply_delta acts on
     # ------------------------------------------------------------------
     @property
     def epoch(self) -> int:
         """The current topology epoch (0 on static runs)."""
-        return self._epoch
+        return self.wiring.epoch
 
-    def _spawn_diner(self, pid: ProcessId, neighbors, *, replace: bool) -> None:
+    @property
+    def now(self) -> Instant:
+        return self.sim.now
+
+    def hosts(self, pid: ProcessId) -> bool:
+        return True  # one kernel runs every diner
+
+    def spawn(self, pid: ProcessId, neighbors, *, replace: bool) -> None:
         """Build, register, and start a fresh incarnation of ``pid``."""
-        diner = self._make_diner(
-            pid,
-            self.union_graph,
-            self.coloring,
-            self.detector,
-            self.workload,
-            self.trace,
-            on_eat=self._on_eat,
-            neighbors=neighbors,
-        )
+        diner = self.wiring.build_diner(self, pid, neighbors, on_eat=self._on_eat)
         self.diners[pid] = diner
         self.network.register(diner, replace=replace)
         if self._check_adapter is not None:
@@ -417,89 +373,13 @@ class DiningTable:
         diner.on_start()
         diner.reevaluate()
 
-    def _live_diner(self, pid: ProcessId) -> Optional[DinerActor]:
-        diner = self.diners.get(pid)
-        return diner if diner is not None and not diner.crashed else None
+    def retire(self, pid: ProcessId) -> None:
+        # The network emits the Crash trace record; the adapter learns
+        # of it online, like any crash.
+        self.network.crash(pid)
 
-    def _apply_delta(self, delta: MembershipDelta) -> None:
-        """Execute one membership delta at its scheduled instant.
-
-        The epoch counter advances first, so the trace record and every
-        epoch-stamped witness agree with the timeline's snapshot index.
-        Neighbor notification order is the view's sorted neighbor tuple:
-        deterministic, like every other same-instant ordering here.
-        """
-        epoch = self._epoch + 1
-        self._epoch = epoch
-        view = self.timeline.snapshots()[epoch].graph
-        previous = self.timeline.snapshots()[epoch - 1].graph
-        verb = delta.verb
-        pid = delta.pid
-        record_edges: tuple = ()
-        if verb == "join":
-            record_edges = delta.edges
-            neighbors = view.neighbors(pid)
-            # Peers first: when the newcomer's on_start pings, the peers
-            # already carry a hygienic link to answer on.
-            for other in neighbors:
-                peer = self._live_diner(other)
-                if peer is not None:
-                    peer.add_neighbor(pid)
-            self._spawn_diner(pid, neighbors, replace=False)
-        elif verb == "leave":
-            # The same path as a crash: the network emits the Crash trace
-            # record (adapter learns it online), and survivors substitute
-            # the leaver in their Action 5/9 guards exactly as ◇P₁
-            # suspicion would — the leaver's forks are reclaimed without
-            # waiting on a detector that was never scripted to fire.
-            neighbors = previous.neighbors(pid)
-            self.network.crash(pid)
-            for other in neighbors:
-                peer = self._live_diner(other)
-                if peer is not None:
-                    peer.neighbor_left(pid)
-        elif verb == "rejoin":
-            # Membership act, not detector output: silently wipe the old
-            # incarnation's module (suspicions and dead listeners) before
-            # the fresh actor re-subscribes in its on_start.
-            self.detector.module_for(pid).reset()
-            neighbors = view.neighbors(pid)
-            for other in neighbors:
-                peer = self._live_diner(other)
-                if peer is None:
-                    continue
-                if pid in peer.links:
-                    peer.neighbor_rejoined(pid)
-                else:
-                    peer.add_neighbor(pid)
-            self._spawn_diner(pid, neighbors, replace=True)
-        elif verb == "add_edge":
-            peer_pid = delta.peer
-            record_edges = (peer_pid,)
-            if pid in view and peer_pid in view.neighbors(pid):
-                # Traffic from the edge's earlier existence must not
-                # deliver into the rebuilt link state; fence before the
-                # endpoints' (deferred) re-evaluations can send.
-                self.network.fence_channels(pid, peer_pid)
-                if self._check_adapter is not None:
-                    self._check_adapter.note_edge_reset(pid, peer_pid)
-                a = self._live_diner(pid)
-                b = self._live_diner(peer_pid)
-                if a is not None:
-                    a.add_neighbor(peer_pid)
-                if b is not None:
-                    b.add_neighbor(pid)
-        elif verb == "remove_edge":
-            peer_pid = delta.peer
-            record_edges = (peer_pid,)
-            if pid in previous and peer_pid in previous.neighbors(pid):
-                a = self._live_diner(pid)
-                b = self._live_diner(peer_pid)
-                if a is not None:
-                    a.remove_neighbor(peer_pid)
-                if b is not None:
-                    b.remove_neighbor(pid)
-        self.trace.membership_change(self.sim.now, epoch, verb, pid, record_edges)
+    def fence_edge(self, a: ProcessId, b: ProcessId) -> None:
+        self.network.fence_channels(a, b)
 
     # ------------------------------------------------------------------
     # Execution
@@ -537,16 +417,7 @@ class DiningTable:
             raise ConfigurationError(
                 "no check suite attached (table built with check_invariants=False)"
             )
-        if settle is not None:
-            self.checks.checker("wx-safety").settle = settle
-            try:
-                self.checks.checker("edge-exclusion").settle = settle
-            except KeyError:
-                pass  # static suite: no edge-scoped variant
-        if patience is not None:
-            self.checks.checker("progress").patience = patience
-        if after is not None:
-            self.checks.checker("overtaking").after = after
+        self.checks.bind_windows(settle, patience, after)
         return self.checks.finalize(self.sim.now)
 
     def violations(self) -> List[analysis.ExclusionViolation]:

@@ -34,7 +34,7 @@ from repro.graphs.conflict import ConflictGraph, ProcessId
 from repro.sim.crash import CrashPlan
 from repro.sim.events import EventPriority
 from repro.sim.kernel import Simulator
-from repro.sim.time import Duration, Instant, validate_duration
+from repro.timebase import Duration, Instant, validate_duration
 
 Pair = Tuple[ProcessId, ProcessId]
 

@@ -41,7 +41,7 @@ from repro.errors import ConfigurationError
 from repro.graphs.conflict import ConflictGraph, ProcessId
 from repro.sim.actor import Actor
 from repro.sim.events import Event
-from repro.sim.time import Duration, validate_duration
+from repro.timebase import Duration, validate_duration
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from repro.detectors.scripted import ScriptedDetector
 from repro.graphs.conflict import ConflictGraph
 from repro.sim.crash import CrashPlan
 from repro.sim.kernel import Simulator
-from repro.sim.time import Duration
+from repro.timebase import Duration
 
 
 class PerfectDetector(ScriptedDetector):

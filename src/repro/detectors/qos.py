@@ -27,7 +27,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.graphs.conflict import ConflictGraph, ProcessId
 from repro.sim.crash import CrashPlan
-from repro.sim.time import Instant
+from repro.timebase import Instant
 from repro.trace.events import SuspicionChange
 from repro.trace.recorder import TraceRecorder
 

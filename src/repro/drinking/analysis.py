@@ -16,7 +16,7 @@ from typing import Dict, FrozenSet, List, Tuple
 
 from repro.drinking.diner import ThirstDeclared
 from repro.graphs.conflict import ConflictGraph, ProcessId
-from repro.sim.time import Instant
+from repro.timebase import Instant
 from repro.trace.analysis import ExclusionViolation, eating_intervals
 from repro.trace.recorder import TraceRecorder
 

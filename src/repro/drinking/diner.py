@@ -33,7 +33,7 @@ from repro.drinking.workload import ThirstWorkload
 from repro.errors import ConfigurationError
 from repro.graphs.coloring import Coloring
 from repro.graphs.conflict import ConflictGraph, ProcessId
-from repro.sim.time import Instant
+from repro.timebase import Instant
 from repro.trace.recorder import TraceRecorder
 
 

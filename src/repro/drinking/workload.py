@@ -18,7 +18,7 @@ from repro.core.workload import Workload
 from repro.errors import ConfigurationError
 from repro.graphs.conflict import ConflictGraph, ProcessId
 from repro.sim.rng import RandomStreams
-from repro.sim.time import Duration, validate_duration
+from repro.timebase import Duration, validate_duration
 
 
 class ThirstWorkload(Workload):

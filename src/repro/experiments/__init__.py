@@ -1,8 +1,8 @@
 """Experiment harnesses: one module per published claim (see DESIGN.md).
 
 Each ``eN_*`` module exposes ``run_*`` functions returning row dicts and a
-``main()`` that prints a paper-style table.  ``python -m
-repro.experiments.run_all`` reproduces the full suite.
+``main()`` that prints a paper-style table.  ``python -m repro
+experiments`` reproduces the full suite.
 """
 
 from repro.experiments import (

@@ -33,10 +33,10 @@ the campaign layer sees a uniform Verdict either way.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
-from repro.checks import CheckConfig, EDGE_EXCLUSION, FAIL, PropertyVerdict, Verdict, Violation
+from repro.checks import FAIL, CheckConfig, PropertyVerdict, Verdict, Violation
 from repro.checks.properties import CHANNEL_BOUND, FIFO, FORK_UNIQUENESS
 from repro.core.messages import Fork
 from repro.core.table import DiningTable, scripted_detector
@@ -125,12 +125,7 @@ class JudgeWindows:
         return JudgeWindows(settle=settle, patience=patience, after=after, grace=grace)
 
     def as_dict(self) -> Dict[str, float]:
-        return {
-            "settle": self.settle,
-            "patience": self.patience,
-            "after": self.after,
-            "grace": self.grace,
-        }
+        return asdict(self)
 
 
 # ----------------------------------------------------------------------
@@ -186,15 +181,30 @@ class FaultRunResult:
 # ----------------------------------------------------------------------
 # Wire logging (kernel): the offline-replayable message stream
 # ----------------------------------------------------------------------
-class _WireLogMonitor(NetworkMonitor):
-    """Records every kernel send/deliver/drop as a wire-log dict.
+def _wire_record(kind, src, dst, type_name, layer, seq, time) -> dict:
+    """One wire-log entry, as both substrates' results carry it.
 
     The dicts speak the exact vocabulary of
     :func:`repro.checks.stream.event_from_wire`, so a witness directory's
     ``wire.jsonl`` makes channel-bound / FIFO / quiescence judgeable by
-    ``repro check`` offline.  Sequence numbers are assigned at send; the
-    kernel network is FIFO by construction, so deliveries and drops
-    retire pending sequence numbers in order.
+    ``repro check`` offline.
+    """
+    return {
+        "kind": kind,
+        "src": src,
+        "dst": dst,
+        "type": type_name,
+        "layer": layer,
+        "seq": seq,
+        "time": time,
+    }
+
+
+class _WireLogMonitor(NetworkMonitor):
+    """Records every kernel send/deliver/drop as a wire-log dict.
+
+    Sequence numbers are assigned at send; the kernel network is FIFO by
+    construction, so deliveries and drops retire them in order.
     """
 
     def __init__(self) -> None:
@@ -204,15 +214,7 @@ class _WireLogMonitor(NetworkMonitor):
 
     def _record(self, kind, src, dst, message, time, seq) -> None:
         self.records.append(
-            {
-                "kind": kind,
-                "src": src,
-                "dst": dst,
-                "type": type(message).__name__,
-                "layer": message_layer(message),
-                "seq": seq,
-                "time": time,
-            }
+            _wire_record(kind, src, dst, type(message).__name__, message_layer(message), seq, time)
         )
 
     def on_send(self, src, dst, message, time) -> None:
@@ -296,63 +298,58 @@ class _CrashTrigger(NetworkMonitor):
 # ----------------------------------------------------------------------
 # Client storms (lease-service path)
 # ----------------------------------------------------------------------
-class _KernelStorm:
-    """Interpret a :class:`~repro.faults.plan.ClientStormSpec` on a table.
+class _Storm:
+    """Interpret a :class:`~repro.faults.plan.ClientStormSpec` on a seat.
 
     Sessions are driven straight into a :class:`~repro.locks.service.
-    LockCore` — no sockets, the kernel analogue of a ``LockService``
-    client fleet.  Bursts fire on CONTROL-priority timers; each grant
-    either abandons (the killed-connection client: only the TTL reclaims
-    its lease) or releases after the plan's hold time.
+    LockCore` riding the diners of ``seat`` (a table or a loopback
+    host) — no sockets, the in-process analogue of a ``LockService``
+    client fleet.  Each grant either abandons (the killed-connection
+    client: only the TTL reclaims its lease) or releases after the
+    plan's hold time.  The storm knows nothing of what drives it: the
+    substrate supplies ``now()``, ``at(delay, fn)`` and ``soon(fn)``,
+    and every plan duration is multiplied by ``time_scale`` on the way
+    to them.
     """
 
-    def __init__(self, table: DiningTable, plan: FaultPlan) -> None:
+    def __init__(self, seat, plan: FaultPlan, *, now, at, soon, time_scale: float = 1.0) -> None:
         from repro.locks.service import LeaseWorkload, LockCore, default_resources
+        from repro.sim.rng import RandomStreams
 
-        self.table = table
         self.spec = plan.storm
-        sim = table.sim
-        self.core = LockCore(
-            default_resources(table.graph),
-            table.diners,
-            clock=lambda: sim.now,
-            defer=lambda fn: sim.schedule_at(
-                sim.now, fn, priority=EventPriority.CONTROL, label="storm-defer"
-            ),
-        )
-        self.core.attach(table.trace)
-        if isinstance(table.workload, LeaseWorkload):
-            table.workload.bind(self.core)
-        self._rng = sim.streams.stream("fuzz/client-storm")
+        self._scale = time_scale
+        self._at = at
+        self.core = LockCore(default_resources(seat.graph), seat.diners, clock=now, defer=soon)
+        self.core.attach(seat.trace)
+        if isinstance(seat.workload, LeaseWorkload):
+            seat.workload.bind(self.core)
+        self._rng = RandomStreams(plan.seed).stream("fuzz/client-storm")
         self._names = sorted(self.core.resources)
+        self._ttl_ms = max(1, int(round(self.spec.ttl * time_scale * 1000.0)))
 
     def arm(self) -> None:
+        """Schedule every burst, in session order, from the run's start."""
+        from repro.locks.messages import SESSION_BASE
+
         spec = self.spec
-        sim = self.table.sim
-        session = _storm_session_base()
+        session = SESSION_BASE
         remaining = spec.sessions
         when = spec.start
         while remaining:
             count = min(spec.burst, remaining)
             ids = list(range(session, session + count))
-            sim.schedule_at(
-                when,
-                lambda ids=ids: self._burst(ids),
-                priority=EventPriority.CONTROL,
-                label="storm-burst",
-            )
+            self._at(when * self._scale, lambda ids=ids: self._burst(ids))
             session += count
             remaining -= count
             when += spec.interval
 
     def _burst(self, ids) -> None:
-        ttl_ms = max(1, int(round(self.spec.ttl * 1000.0)))
         for session in ids:
             resource = self._names[self._rng.randrange(len(self._names))]
             self.core.request(
                 session,
                 resource,
-                ttl_ms,
+                self._ttl_ms,
                 lambda message, _s=session: self._reply(_s, message),
             )
 
@@ -364,25 +361,8 @@ class _KernelStorm:
         if self._rng.random() < self.spec.abandon:
             self.core.abandon(session)
             return
-        sim = self.table.sim
         lease_id = message.lease_id
-        sim.schedule_at(
-            sim.now + self.spec.hold,
-            lambda: self.core.release(session, lease_id),
-            priority=EventPriority.CONTROL,
-            label="storm-release",
-        )
-
-    def finalize(self, verdict: Verdict, now: float) -> Verdict:
-        """Close the service books and judge the lease-backing property."""
-        self.core.shutdown()  # flush still-queued waiters (denied: shutdown)
-        return _fold_leaked(verdict, self.core, now)
-
-
-def _storm_session_base() -> int:
-    from repro.locks.messages import SESSION_BASE
-
-    return SESSION_BASE
+        self._at(self.spec.hold * self._scale, lambda: self.core.release(session, lease_id))
 
 
 def _fold_leaked(verdict: Verdict, core, now: float) -> Verdict:
@@ -410,8 +390,39 @@ def _fold_leaked(verdict: Verdict, core, now: float) -> Verdict:
 
 
 # ----------------------------------------------------------------------
-# Exception → property mapping
+# Prologue and epilogue shared by both interpreters
 # ----------------------------------------------------------------------
+def _resolve_windows(
+    plan: FaultPlan, judge: bool, windows: Optional[JudgeWindows]
+) -> Optional[JudgeWindows]:
+    """Pinned windows, else the plan's derivation; none when not judging."""
+    if not judge:
+        return None
+    return windows if windows is not None else JudgeWindows.for_plan(plan)
+
+
+def _prologue(plan: FaultPlan, judge: bool, windows, diner_factory):
+    """What a plan says before any substrate is built.
+
+    Returns ``(graph, windows, diner_factory, crash_times, membership)``:
+    the topology, the resolved judgement windows, the scheduler under
+    test (an explicit factory overrides the plan's mutant), each
+    victim's scripted-or-deadline crash instant, and the membership log
+    — all in plan time.
+    """
+    graph = topologies.by_name(plan.topology, plan.n, seed=plan.seed)
+    if diner_factory is None and plan.mutant:
+        diner_factory = get_mutant(plan.mutant).factory()
+    crash_times = {c.pid: c.latest_time() for c in plan.crashes}
+    return (
+        graph,
+        _resolve_windows(plan, judge, windows),
+        diner_factory,
+        crash_times,
+        plan.membership_log(),
+    )
+
+
 def _property_of_exception(exc: BaseException) -> str:
     if isinstance(exc, ForkDuplicationError):
         return FORK_UNIQUENESS
@@ -422,25 +433,53 @@ def _property_of_exception(exc: BaseException) -> str:
     return RUNTIME_ERROR
 
 
-def _fold_exception(verdict: Verdict, exc: BaseException, time: float) -> Verdict:
-    """Merge a mutant-raised fault into the verdict as a failing property."""
-    name = _property_of_exception(exc)
+def _fold_faults(verdict: Verdict, name: str, details: List[str], time: float) -> Verdict:
+    """Merge faults the suite never saw into the verdict as a failing property."""
     synthetic = PropertyVerdict(
         prop=name,
         status=FAIL,
-        violations=[
-            Violation(
-                prop=name,
-                time=time,
-                detail=f"{type(exc).__name__}: {exc}",
-            )
-        ],
-        counters={"raised_total": 1},
+        violations=[Violation(prop=name, time=time, detail=d) for d in details[:5]],
+        counters={"raised_total": len(details)},
     )
     existing = verdict.properties.get(name)
     if existing is not None:
         synthetic = PropertyVerdict.merge([existing, synthetic])
     return verdict.with_property(synthetic)
+
+
+def _epilogue(
+    plan: FaultPlan,
+    substrate: str,
+    verdict: Verdict,
+    windows: Optional[JudgeWindows],
+    now: float,
+    *,
+    storm: Optional[_Storm],
+    error: Optional[BaseException] = None,
+    actor_faults: Tuple[str, ...] = (),
+    **fields,
+) -> FaultRunResult:
+    """Fold what the suite could not see into the verdict; box the result.
+
+    ``error`` is an exception a mutant raised through the kernel (it
+    becomes the failing property it names), ``actor_faults`` the faults
+    a live host captured outside its checkers, and a storm's books are
+    closed and judged for leaked leases — so the campaign layer sees a
+    uniform Verdict either way.
+    """
+    if error is not None:
+        detail = f"{type(error).__name__}: {error}"
+        verdict = _fold_faults(verdict, _property_of_exception(error), [detail], now)
+        fields["error"] = detail
+    if storm is not None:
+        storm.core.shutdown()  # flush still-queued waiters (denied: shutdown)
+        verdict = _fold_leaked(verdict, storm.core, now)
+        fields["storm"] = storm.core.snapshot()
+    if actor_faults:
+        verdict = _fold_faults(verdict, RUNTIME_ERROR, list(actor_faults), now)
+    return FaultRunResult(
+        plan=plan, substrate=substrate, verdict=verdict, windows=windows, **fields
+    )
 
 
 # ----------------------------------------------------------------------
@@ -465,19 +504,15 @@ def build_table(
     derivation (short bake-off horizons need windows that fit inside
     them).
     """
-    graph = topologies.by_name(plan.topology, plan.n, seed=plan.seed)
-    crash_plan = CrashPlan.scripted({c.pid: c.latest_time() for c in plan.crashes})
-    if judge and windows is None:
-        windows = JudgeWindows.for_plan(plan)
-    elif not judge:
-        windows = None
+    graph, windows, diner_factory, crash_times, membership = _prologue(
+        plan, judge, windows, diner_factory
+    )
     config = CheckConfig(
         settle=windows.settle if windows else None,
         patience=windows.patience if windows else None,
         overtaking_after=windows.after if windows else None,
         quiescence_grace=windows.grace if windows and plan.crashes else None,
     )
-    mutant = get_mutant(plan.mutant) if plan.mutant else None
     flaps = plan.flaps
     if detector is None:
         detector = scripted_detector(
@@ -487,19 +522,17 @@ def build_table(
             mistakes_per_edge=flaps.mistakes_per_edge,
             mean_mistake_duration=flaps.mean_mistake_duration,
         )
-    if diner_factory is None:
-        diner_factory = mutant.factory() if mutant else None
     return DiningTable(
         graph,
         seed=plan.seed,
         latency=plan.latency.build(),
         workload=plan.workload.build(),
-        crash_plan=crash_plan,
+        crash_plan=CrashPlan.scripted(crash_times),
         detector=detector,
         diner_factory=diner_factory,
         strict_checks=False,
         check_config=config,
-        membership=plan.membership_log(),
+        membership=membership,
     )
 
 
@@ -532,10 +565,7 @@ def run_plan_kernel(
     to it), so a passing run costs nothing it is about to throw away and
     the result pickles in ≈2 KB.  The verdict is the same either way.
     """
-    if judge and windows is None:
-        windows = JudgeWindows.for_plan(plan)
-    elif not judge:
-        windows = None
+    windows = _resolve_windows(plan, judge, windows)
     table = build_table(
         plan,
         judge=judge,
@@ -553,7 +583,13 @@ def run_plan_kernel(
             _CrashTrigger(table, spec).arm()
     storm = None
     if plan.storm.active:
-        storm = _KernelStorm(table, plan)
+        sim = table.sim
+
+        def at(delay: float, fn) -> None:
+            # Bursts, releases and hunger nudges are CONTROL events.
+            sim.schedule_at(sim.now + delay, fn, priority=EventPriority.CONTROL, label="storm")
+
+        storm = _Storm(table, plan, now=lambda: sim.now, at=at, soon=lambda fn: at(0.0, fn))
         storm.arm()
 
     stopped_early = False
@@ -568,25 +604,20 @@ def run_plan_kernel(
             stopped_early = chunk < RUN_CHUNKS
             break
 
-    verdict = table.verdict()
-    if error is not None:
-        verdict = _fold_exception(verdict, error, table.sim.now)
-    if storm is not None:
-        verdict = storm.finalize(verdict, table.sim.now)
-
-    return FaultRunResult(
-        plan=plan,
-        substrate="kernel",
-        verdict=verdict,
-        windows=windows,
+    return _epilogue(
+        plan,
+        "kernel",
+        table.verdict(),
+        windows,
+        table.sim.now,
+        storm=storm,
+        error=error,
         crash_times={r.pid: r.time for r in table.trace.crashes()},
         meals=table.eat_counts(),
         events=table.sim.processed_events,
         stopped_early=stopped_early or error is not None,
-        error=f"{type(error).__name__}: {error}" if error is not None else None,
         trace=table.trace if artifacts else None,
         wire=wire.records,
-        storm=storm.core.snapshot() if storm is not None else None,
     )
 
 
@@ -614,34 +645,28 @@ def run_plan_live(
     pre-convergence adversary on this substrate is genuine wall-clock
     jitter.  With ``judge=True`` the settle/patience/overtaking windows
     are bound (scaled) at finalize; quiescence stays informational (its
-    grace is consumed online, before windows could be rebound).
+    grace is consumed online, before windows could be rebound).  A
+    client storm shares the host's loop: bursts, releases and hunger
+    nudges run inside ``host.guarded``, so checker and violation capture
+    see them.
     """
-    from repro.graphs.membership import MembershipDelta, MembershipLog
+    import asyncio
+
+    from repro.graphs.membership import MembershipLog
     from repro.net.host import AsyncHost, HostConfig, run_host
     from repro.sim.rng import RandomStreams
 
     if time_scale <= 0:
         raise ConfigurationError(f"time_scale must be positive, got {time_scale!r}")
-    graph = topologies.by_name(plan.topology, plan.n, seed=plan.seed)
-    if judge and windows is None:
-        windows = JudgeWindows.for_plan(plan)
-    elif not judge:
-        windows = None
-    mutant = get_mutant(plan.mutant) if plan.mutant else None
+    graph, windows, diner_factory, crash_times, membership = _prologue(
+        plan, judge, windows, diner_factory
+    )
 
     # Membership deltas ride the host's wall clock, so their plan times
     # scale exactly like crash times do.
-    membership = plan.membership_log()
     if membership is not None:
         membership = MembershipLog(
-            MembershipDelta(
-                time=delta.time * time_scale,
-                verb=delta.verb,
-                pid=delta.pid,
-                edges=delta.edges,
-                peer=delta.peer,
-            )
-            for delta in membership
+            replace(delta, time=delta.time * time_scale) for delta in membership
         )
 
     model = plan.latency.build()
@@ -657,147 +682,64 @@ def run_plan_live(
             duration=plan.horizon * time_scale,
             seed=plan.seed,
         ),
-        crash_times={c.pid: c.latest_time() * time_scale for c in plan.crashes},
+        crash_times={pid: t * time_scale for pid, t in crash_times.items()},
         workload=plan.workload.build(time_scale=time_scale),
         inject_latency=inject,
-        diner_factory=diner_factory
-        if diner_factory is not None
-        else (mutant.factory() if mutant else None),
+        diner_factory=diner_factory,
         detector=detector,
         membership=membership,
         run="fuzz",
     )
-    storm_core = None
+    storm = None
     if plan.storm.active:
-        storm_core = _run_host_with_storm(host, plan, time_scale)
+        # The storm shares the host's loop; its callables are only ever
+        # called from inside it.
+        loop = asyncio.get_running_loop
+        storm = _Storm(
+            host,
+            plan,
+            now=lambda: host.now,
+            at=lambda delay, fn: loop().call_later(delay, host.guarded(fn, "storm")),
+            soon=lambda fn: loop().call_soon(host.guarded(fn, "storm-defer")),
+            time_scale=time_scale,
+        )
+
+        async def main() -> None:
+            storm.arm()
+            await host.run()
+
+        asyncio.run(main())
     else:
         run_host(host)
 
-    if judge and windows is not None:
-        host.checks.checker("wx-safety").settle = windows.settle * time_scale
-        host.checks.checker("progress").patience = windows.patience * time_scale
-        host.checks.checker("overtaking").after = windows.after * time_scale
-        try:
-            host.checks.checker(EDGE_EXCLUSION).settle = windows.settle * time_scale
-        except KeyError:
-            pass  # static plan: no edge-scoped checker in the suite
-    verdict = host.verdict()
-    if storm_core is not None:
-        verdict = _fold_leaked(verdict, storm_core, host.now)
+    if windows is not None:
+        host.checks.bind_windows(
+            windows.settle * time_scale,
+            windows.patience * time_scale,
+            windows.after * time_scale,
+        )
     # ``host.violations`` mixes checker-forwarded witnesses (already in
     # the verdict, possibly as informational counters) with actor faults
     # the host captured outside the checkers (a mutant raising
     # mid-step).  Only the latter must fail the run.
     checker_details = {f"{v.prop}: {v.detail}" for v in host.checks.violations}
-    actor_faults = [d for d in host.violations if d not in checker_details]
-    if actor_faults:
-        synthetic = PropertyVerdict(
-            prop=RUNTIME_ERROR,
-            status=FAIL,
-            violations=[
-                Violation(prop=RUNTIME_ERROR, time=host.now, detail=detail)
-                for detail in actor_faults[:5]
-            ],
-            counters={"raised_total": len(actor_faults)},
-        )
-        verdict = verdict.with_property(synthetic)
-
-    return FaultRunResult(
-        plan=plan,
-        substrate="live",
-        verdict=verdict,
-        windows=windows,
+    return _epilogue(
+        plan,
+        "live",
+        host.verdict(),
+        windows,
+        host.now,
+        storm=storm,
+        actor_faults=tuple(d for d in host.violations if d not in checker_details),
         crash_times={r.pid: r.time / time_scale for r in host.trace.crashes()},
         meals={pid: d.meals_eaten for pid, d in host.diners.items()},
         events=host.checks.events_observed,
         trace=host.trace,
         wire=[
-            {
-                "kind": e.kind,
-                "src": e.src,
-                "dst": e.dst,
-                "type": e.type,
-                "layer": e.layer,
-                "seq": e.seq,
-                "time": e.time,
-            }
+            _wire_record(e.kind, e.src, e.dst, e.type, e.layer, e.seq, e.time)
             for e in host.wire_events
         ],
-        storm=storm_core.snapshot() if storm_core is not None else None,
     )
-
-
-def _run_host_with_storm(host, plan: FaultPlan, time_scale: float):
-    """Run a loopback host while a scaled client storm drives a LockCore.
-
-    The storm shares the host's loop: bursts run inside ``host.guarded``
-    (so checker/violation capture sees them) and releases ride
-    ``loop.call_later`` — the in-process analogue of the socket-borne
-    ``LockService`` path, at fuzz speed.  Returns the core for the
-    caller's books (snapshot + leak judgement).
-    """
-    import asyncio
-
-    from repro.locks.messages import LeaseGrant
-    from repro.locks.service import LeaseWorkload, LockCore, default_resources
-
-    spec = plan.storm
-    core = LockCore(
-        default_resources(host.graph),
-        host.diners,
-        clock=lambda: host.now,
-        defer=lambda fn: host.loop.call_soon(host.guarded(fn, "storm-defer")),
-    )
-    core.attach(host.trace)
-    if isinstance(host.workload, LeaseWorkload):
-        host.workload.bind(core)
-    from repro.sim.rng import RandomStreams
-
-    rng = RandomStreams(plan.seed).stream("fuzz/client-storm")
-    names = sorted(core.resources)
-    ttl_ms = max(1, int(round(spec.ttl * time_scale * 1000.0)))
-
-    def reply(session: int, message) -> None:
-        if type(message) is not LeaseGrant:
-            return
-        if rng.random() < spec.abandon:
-            core.abandon(session)
-            return
-        lease_id = message.lease_id
-        host.loop.call_later(
-            spec.hold * time_scale,
-            host.guarded(lambda: core.release(session, lease_id), "storm-release"),
-        )
-
-    async def drive(runner: "asyncio.Future") -> None:
-        await asyncio.sleep(spec.start * time_scale)
-        session = _storm_session_base()
-        remaining = spec.sessions
-        while remaining and not runner.done():
-            count = min(spec.burst, remaining)
-            for sid in range(session, session + count):
-                resource = names[rng.randrange(len(names))]
-                host.guarded(
-                    lambda _s=sid, _r=resource: core.request(
-                        _s, _r, ttl_ms, lambda m, _s=_s: reply(_s, m)
-                    ),
-                    "storm-request",
-                )()
-            session += count
-            remaining -= count
-            if remaining:
-                await asyncio.sleep(spec.interval * time_scale)
-
-    async def main() -> None:
-        runner = asyncio.ensure_future(host.run())
-        try:
-            await drive(runner)
-        finally:
-            await runner
-
-    asyncio.run(main())
-    core.shutdown()  # flush still-queued waiters (denied: shutdown)
-    return core
 
 
 def run_plan(plan: FaultPlan, *, substrate: str = "kernel", **kwargs) -> FaultRunResult:

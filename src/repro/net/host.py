@@ -46,8 +46,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from repro.checks import (
-    PENDING_PING,
-    QUIESCENCE,
     CheckConfig,
     DeliverEvent,
     DropEvent,
@@ -57,16 +55,16 @@ from repro.checks import (
     Violation,
     annotate_violations,
     event_from_trace_record,
-    standard_suite,
 )
+from repro.core.assembly import Wiring, apply_delta
 from repro.core.diner import DinerActor
 from repro.core.substrate import ProcessId
 from repro.core.workload import AlwaysHungry, Workload
 from repro.detectors.heartbeat import HeartbeatDetector
 from repro.errors import ConfigurationError
-from repro.graphs.coloring import Coloring, greedy_coloring, validate_coloring
+from repro.graphs.coloring import Coloring
 from repro.graphs.conflict import ConflictGraph
-from repro.graphs.membership import MembershipDelta, MembershipLog, TopologyTimeline
+from repro.graphs.membership import MembershipDelta, MembershipLog
 from repro.locks.messages import LeaseDenied
 from repro.net.codec import (
     FrameDecoder,
@@ -228,21 +226,17 @@ class AsyncHost:
         self._finished = False
         self.loop: Optional[asyncio.AbstractEventLoop] = None
 
-        # Dynamic membership: delta times are in host seconds (seconds
-        # after the run epoch — callers scale plan time before handing
-        # the log over).  The union graph — every node and edge that
-        # ever exists — takes the static graph's role for coloring, the
-        # detector, actor construction, and checker wiring, exactly as
-        # the kernel table does; the per-epoch views restrict each
-        # actor's live link set.
-        self.membership = membership if membership is not None else MembershipLog()
-        dynamic = bool(self.membership)
-        self.timeline = TopologyTimeline(graph, self.membership) if dynamic else None
-        union = self.timeline.union() if dynamic else graph
-        self.union_graph = union
-        self._membership_epoch = 0
+        # One wiring for every substrate (repro.core.assembly), exactly
+        # as the kernel table derives it.  Delta times are in host
+        # seconds (seconds after the run epoch — callers scale plan time
+        # before handing the log over).
+        self.wiring = wiring = Wiring(graph, membership, coloring, diner_factory)
+        self.membership = wiring.membership
+        self.timeline = wiring.timeline
+        self.union_graph = union = wiring.union
+        self.coloring = wiring.coloring
         self._pending_membership: List[MembershipDelta] = list(self.membership)
-        if dynamic and transport != "loopback":
+        if wiring.dynamic and transport != "loopback":
             # rejoin and edge churn rely on this host's authoritative
             # per-channel sequence counters to fence stale traffic; on a
             # multi-host cluster only join/leave have that property.
@@ -275,8 +269,6 @@ class AsyncHost:
                 )
 
         self.streams = RandomStreams(self.config.seed)
-        self.coloring = coloring if coloring is not None else greedy_coloring(union)
-        validate_coloring(union, self.coloring)
         if detector is None:
             self.detector = HeartbeatDetector(
                 union,
@@ -304,26 +296,11 @@ class AsyncHost:
         self._trace_probe.attach(self.trace)
         self.registry.add_finalizer(self._flush_probes)
 
-        self._make_diner = diner_factory if diner_factory is not None else DinerActor
-        make_diner = self._make_diner
         self.diners: Dict[ProcessId, DinerActor] = {}
         for pid in self.local_pids:
-            if dynamic:
-                if pid not in graph:
-                    continue  # joins later; its actor spawns at delta time
-                diner = make_diner(
-                    pid,
-                    union,
-                    self.coloring,
-                    self.detector,
-                    self.workload,
-                    self.trace,
-                    neighbors=graph.neighbors(pid),
-                )
-            else:
-                diner = make_diner(
-                    pid, graph, self.coloring, self.detector, self.workload, self.trace
-                )
+            if pid not in graph:
+                continue  # joins later; its actor spawns at delta time
+            diner = wiring.build_diner(self, pid)
             diner.bind_substrate(LiveSubstrate(self, pid))
             self.diners[pid] = diner
 
@@ -351,33 +328,19 @@ class AsyncHost:
         # this host can see: local edges exactly, inbound remote channels
         # from the receiving side.  Violations are collected, never
         # raised — a live run always completes and reports what it saw.
-        final_nodes = self.timeline.final().graph.nodes if dynamic else union.nodes
-        # Baseline factories build actors without Algorithm 1's local
-        # variables; the DinerLocal/PendingPing probes only apply to the
-        # real DinerActor (mirrors DiningTable's auto-detection).
-        if self.diners:
-            diner_locals = all(
-                isinstance(d, DinerActor) for d in self.diners.values()
-            )
-        else:
-            diner_locals = isinstance(make_diner, type) and issubclass(
-                make_diner, DinerActor
-            )
-        self.checks = standard_suite(
+        self.checks = wiring.build_suite(
             self._local_edges,
             CheckConfig(
                 channel_bound=self.config.channel_bound,
                 correct=tuple(
                     pid
                     for pid in self.local_pids
-                    if pid not in self._crash_times and pid in final_nodes
+                    if pid not in self._crash_times and pid in wiring.residents
                 ),
                 crash_time_of=self._crash_times.get,
             ),
-            on_violation=self._on_check_violation,
-            diner_locals=diner_locals,
-            dynamic=dynamic,
-            membership=self.timeline,
+            self.diners,
+            self._on_check_violation,
         )
         self._probe = ProbeEvent(0.0, self.diners)
         # Per-pid partial probes: a step at one diner can only change that
@@ -845,9 +808,7 @@ class AsyncHost:
             # Each timer pops the next delta in log order, so same-instant
             # deltas apply in log order even if the loop's timer heap
             # breaks the tie differently.
-            self.loop.call_later(
-                max(0.0, delta.time - self.now), self._apply_membership
-            )
+            self.loop.call_later(max(0.0, delta.time - self.now), self._next_delta)
 
         remaining = self._epoch + self.config.duration - time.time()
         if remaining > 0:
@@ -869,27 +830,18 @@ class AsyncHost:
             self._kill_connections()
 
     # ------------------------------------------------------------------
-    # Dynamic membership
+    # Dynamic membership: the seat repro.core.assembly.apply_delta acts on
     # ------------------------------------------------------------------
-    def _live_actor(self, pid: ProcessId) -> Optional[DinerActor]:
-        actor = self.diners.get(pid)
-        return actor if actor is not None and not actor.crashed else None
+    def hosts(self, pid: ProcessId) -> bool:
+        return self._placement[pid] == self.host_index
 
-    def _spawn_actor(self, pid: ProcessId, neighbors, *, replace: bool) -> None:
+    def spawn(self, pid: ProcessId, neighbors, *, replace: bool) -> None:
         """Build, bind, and start a fresh incarnation of ``pid``."""
-        diner = self._make_diner(
-            pid,
-            self.union_graph,
-            self.coloring,
-            self.detector,
-            self.workload,
-            self.trace,
-            neighbors=neighbors,
-        )
+        diner = self.wiring.build_diner(self, pid, neighbors)
         diner.bind_substrate(LiveSubstrate(self, pid))
         self.diners[pid] = diner
         if replace:
-            self._fence_pid(pid)
+            self._fence(key for key in self._next_seq if pid in key)
         label = ("rejoin" if replace else "join") + f"@{pid}"
 
         def start() -> None:
@@ -898,119 +850,30 @@ class AsyncHost:
 
         self.guarded(start, label=label, pid=pid)()
 
-    def _fence_pid(self, pid: ProcessId) -> None:
-        """Fence every directed channel touching ``pid`` at its current seq."""
-        for key, seq in self._next_seq.items():
-            if pid in key and seq:
-                self._fences[key] = seq
-        self._clear_pending_pings(lambda pair: pid in pair)
-        try:
-            quiescence = self.checks.checker(QUIESCENCE)
-        except KeyError:
-            quiescence = None
-        if quiescence is not None and hasattr(quiescence, "note_rebirth"):
-            quiescence.note_rebirth(pid, self.now)
+    def retire(self, pid: ProcessId) -> None:
+        # The actor freezes, deliveries drop, and once every local actor
+        # is down the host severs its connections.
+        self._inject_crash(pid)
 
-    def _fence_edge(self, a: ProcessId, b: ProcessId) -> None:
-        """Fence both directions of edge ``(a, b)`` at their current seq."""
-        for key in ((a, b), (b, a)):
+    def fence_edge(self, a: ProcessId, b: ProcessId) -> None:
+        self._fence(((a, b), (b, a)))
+
+    def _fence(self, channels) -> None:
+        """Fence directed channels at their current seq (see ``_receive``)."""
+        for key in channels:
             seq = self._next_seq.get(key)
             if seq:
                 self._fences[key] = seq
-        self._clear_pending_pings(lambda pair: pair in ((a, b), (b, a)))
 
-    def _clear_pending_pings(self, matches) -> None:
-        """Forget Lemma 2.2 obligations owed by a fenced (dead) channel."""
-        try:
-            checker = self.checks.checker(PENDING_PING)
-        except KeyError:
-            return
-        outstanding = getattr(checker, "_outstanding", None)
-        if outstanding:
-            for pair in [p for p in outstanding if matches(p)]:
-                del outstanding[pair]
-
-    def _apply_membership(self) -> None:
-        """Execute the next membership delta (timers fire in log order).
-
-        Mirrors the kernel table's delta interpreter verb for verb: the
-        epoch counter advances first so the trace record and every
-        epoch-stamped witness agree with the timeline's snapshot index;
-        peers learn about a newcomer before its actor starts pinging.
-        """
+    def _next_delta(self) -> None:
+        """Execute the next membership delta (timers fire in log order)."""
         if self._finished or not self._pending_membership:
             return
         delta = self._pending_membership.pop(0)
-        epoch = self._membership_epoch + 1
-        self._membership_epoch = epoch
-        snapshots = self.timeline.snapshots()
-        view = snapshots[epoch].graph
-        previous = snapshots[epoch - 1].graph
-        verb = delta.verb
-        pid = delta.pid
-        record_edges: tuple = ()
         try:
-            if verb == "join":
-                record_edges = delta.edges
-                neighbors = view.neighbors(pid)
-                for other in neighbors:
-                    peer = self._live_actor(other)
-                    if peer is not None:
-                        peer.add_neighbor(pid)
-                if self._placement[pid] == self.host_index:
-                    self._spawn_actor(pid, neighbors, replace=False)
-            elif verb == "leave":
-                # The same path as a crash: the actor freezes, deliveries
-                # drop, and once every local actor is down the host
-                # severs its connections.  Survivors substitute the
-                # leaver in their Action 5/9 guards immediately.
-                neighbors = previous.neighbors(pid)
-                if self._placement[pid] == self.host_index:
-                    self._inject_crash(pid)
-                for other in neighbors:
-                    peer = self._live_actor(other)
-                    if peer is not None:
-                        peer.neighbor_left(pid)
-            elif verb == "rejoin":
-                # Membership act, not detector output: silently wipe the
-                # old incarnation's module before the fresh actor
-                # re-subscribes in its on_start.
-                self.detector.module_for(pid).reset()
-                neighbors = view.neighbors(pid)
-                for other in neighbors:
-                    peer = self._live_actor(other)
-                    if peer is None:
-                        continue
-                    if pid in peer.links:
-                        peer.neighbor_rejoined(pid)
-                    else:
-                        peer.add_neighbor(pid)
-                if self._placement[pid] == self.host_index:
-                    self._spawn_actor(pid, neighbors, replace=True)
-            elif verb == "add_edge":
-                peer_pid = delta.peer
-                record_edges = (peer_pid,)
-                if pid in view and peer_pid in view.neighbors(pid):
-                    self._fence_edge(pid, peer_pid)
-                    a = self._live_actor(pid)
-                    b = self._live_actor(peer_pid)
-                    if a is not None:
-                        a.add_neighbor(peer_pid)
-                    if b is not None:
-                        b.add_neighbor(pid)
-            elif verb == "remove_edge":
-                peer_pid = delta.peer
-                record_edges = (peer_pid,)
-                if pid in previous and peer_pid in previous.neighbors(pid):
-                    a = self._live_actor(pid)
-                    b = self._live_actor(peer_pid)
-                    if a is not None:
-                        a.remove_neighbor(peer_pid)
-                    if b is not None:
-                        b.remove_neighbor(pid)
+            apply_delta(self, delta)
         except Exception as exc:  # noqa: BLE001 - every membership fault is a finding
-            self._record_violation(f"membership {verb}@{pid}: {exc}")
-        self.trace.membership_change(self.now, epoch, verb, pid, record_edges)
+            self._record_violation(f"membership {delta.verb}@{delta.pid}: {exc}")
         self._after_step(None)
 
     async def _shutdown(self) -> None:

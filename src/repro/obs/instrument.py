@@ -31,7 +31,7 @@ from repro.obs.metrics import Counter, MetricsRegistry
 from repro.obs.profile import KernelProfiler
 from repro.sim.monitors import message_layer
 from repro.sim.network import NetworkMonitor
-from repro.sim.time import Instant
+from repro.timebase import Instant
 from repro.trace.events import (
     Crash,
     EATING,

@@ -29,7 +29,7 @@ from repro.sim.monitors import (
 )
 from repro.sim.network import Network, NetworkMonitor
 from repro.sim.rng import RandomStreams
-from repro.sim.time import END_OF_TIME, START_OF_TIME, Duration, Instant
+from repro.timebase import END_OF_TIME, START_OF_TIME, Duration, Instant
 
 __all__ = [
     "Actor",

@@ -19,7 +19,7 @@ from typing import Callable
 
 from repro.core.substrate import Actor, ProcessId, Substrate, TimerHandle
 from repro.sim.events import Event, EventPriority
-from repro.sim.time import Duration, Instant
+from repro.timebase import Duration, Instant
 
 __all__ = ["Actor", "KernelSubstrate", "ProcessId", "Substrate", "TimerHandle"]
 

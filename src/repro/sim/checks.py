@@ -84,7 +84,7 @@ keep their teeth.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from repro.checks.events import CrashEvent, PhaseEvent
 from repro.checks.properties import (
@@ -106,7 +106,7 @@ from repro.errors import (
 from repro.sim.actor import ProcessId
 from repro.sim.monitors import DeferredMessageStats, message_layer
 from repro.sim.network import NetworkMonitor
-from repro.sim.time import Instant
+from repro.timebase import Instant
 from repro.trace.events import Crash, DoorwayChange, PhaseChange
 
 _STRICT_ERRORS = {
@@ -581,45 +581,11 @@ class KernelCheckAdapter(NetworkMonitor):
 
     # Membership -------------------------------------------------------
     def note_rejoin(self, pid: ProcessId) -> None:
-        """A fresh incarnation of ``pid`` replaced the departed one.
-
-        Three pieces of adapter state are keyed to the dead incarnation
-        and must not leak into the new life: the quiescence ledger (sends
-        to the rejoined pid are ordinary traffic again — only checkers
-        exposing ``note_rebirth``, i.e. the dynamic suite's, support
-        this), the post-crash send filter, and the Lemma 2.2 outstanding
-        ping table (the old incarnation's unanswered ping would make a
-        survivor's first post-reset ping look like a duplicate).
-        """
+        """A fresh incarnation replaced ``pid``: sends to it are ordinary
+        traffic again, so it leaves the post-crash send filter.  (The
+        checkers' per-incarnation state is reset by the shared delta
+        interpreter, :func:`repro.core.assembly.apply_delta`.)"""
         self._crashing.discard(pid)
-        quiescence = self._quiescence
-        if quiescence is not None and hasattr(quiescence, "note_rebirth"):
-            quiescence.note_rebirth(pid, self._sim_cell[0].now)
-        outstanding = (
-            self._pending_ping._outstanding
-            if self._pending_ping is not None
-            else None
-        )
-        if outstanding:
-            for pair in [p for p in outstanding if pid in p]:
-                del outstanding[pair]
-
-    def note_edge_reset(self, a: ProcessId, b: ProcessId) -> None:
-        """Edge ``(a, b)`` was torn down and rebuilt with hygienic links.
-
-        A ping outstanding from the edge's earlier existence was retired
-        by the teardown (its ack can never arrive — the channel is
-        fenced), so it must not make the rebuilt link's first ping look
-        like a Lemma 2.2 duplicate.
-        """
-        outstanding = (
-            self._pending_ping._outstanding
-            if self._pending_ping is not None
-            else None
-        )
-        if outstanding:
-            outstanding.pop((a, b), None)
-            outstanding.pop((b, a), None)
 
     # Trace records ----------------------------------------------------
     def _on_crash(self, record: Crash) -> None:

@@ -23,7 +23,7 @@ from repro.errors import ConfigurationError
 from repro.sim.actor import ProcessId
 from repro.sim.network import Network
 from repro.sim.rng import RandomStreams
-from repro.sim.time import Instant, validate_instant
+from repro.timebase import Instant, validate_instant
 
 
 @dataclass(frozen=True)

@@ -60,7 +60,7 @@ from heapq import heapify, heappop, heappush
 from typing import Callable, List, Optional, Tuple
 
 from repro.errors import SchedulingError
-from repro.sim.time import Instant
+from repro.timebase import Instant
 
 
 class EventPriority(IntEnum):

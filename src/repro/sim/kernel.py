@@ -41,7 +41,7 @@ from typing import Callable, List, Optional
 from repro.errors import SchedulingError
 from repro.sim.events import _PRIO_SHIFT, Event, EventPriority, EventQueue
 from repro.sim.rng import RandomStreams
-from repro.sim.time import END_OF_TIME, START_OF_TIME, Duration, Instant, validate_duration, validate_instant
+from repro.timebase import END_OF_TIME, START_OF_TIME, Duration, Instant, validate_duration, validate_instant
 
 # Enum member lookups are surprisingly costly on the hot path; the two
 # fire-and-forget priorities are resolved once at import, pre-shifted
@@ -79,10 +79,6 @@ class Simulator:
         # One-shot post-event hook (see module docstring).  Cleared before
         # each invocation; the armer re-arms it when new work appears.
         self._post_event: Optional[Callable[[Instant], None]] = None
-        # Membership-delta handler (see apply_membership_delta): installed
-        # by the assembly layer (DiningTable) when a run is dynamic; the
-        # kernel itself stays topology-agnostic.
-        self._membership_handler: Optional[Callable[[object], None]] = None
 
     # ------------------------------------------------------------------
     # Clock
@@ -193,30 +189,6 @@ class Simulator:
             (self._now, _REEVALUATE_SUBKEY_BASE | sequence, action, label, None),
         )
         queue._live += 1
-
-    def set_membership_handler(self, handler: Callable[[object], None]) -> None:
-        """Install the callback :meth:`apply_membership_delta` delegates to.
-
-        The kernel does not interpret membership deltas itself — the
-        assembly layer owns actors, channels, and detectors — but the
-        entry point lives here so scheduled churn events and external
-        drivers have one substrate-level door to knock on, mirroring the
-        live host's membership timers.
-        """
-        self._membership_handler = handler
-
-    def apply_membership_delta(self, delta) -> None:
-        """Apply one :class:`~repro.graphs.membership.MembershipDelta` now.
-
-        Raises :class:`SchedulingError` when no handler is installed
-        (i.e. the run was assembled without a membership log).
-        """
-        handler = self._membership_handler
-        if handler is None:
-            raise SchedulingError(
-                "no membership handler installed; this simulation is static"
-            )
-        handler(delta)
 
     def add_step_listener(self, listener: Callable[[Instant], None]) -> None:
         """Register a callback invoked after every processed event.

@@ -24,7 +24,7 @@ from typing import Protocol
 
 from repro.errors import ConfigurationError
 from repro.sim.rng import RandomStreams
-from repro.sim.time import Duration, Instant, validate_duration, validate_instant
+from repro.timebase import Duration, Instant, validate_duration, validate_instant
 
 ProcessId = int
 

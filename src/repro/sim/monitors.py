@@ -32,7 +32,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.checks.properties import ChannelOccupancy, PostCrashSend, QuiescenceChecker
 from repro.sim.actor import ProcessId
 from repro.sim.network import NetworkMonitor
-from repro.sim.time import Instant
+from repro.timebase import Instant
 
 __all__ = [
     "ChannelOccupancyMonitor",

@@ -28,7 +28,7 @@ from repro.sim.actor import Actor, ProcessId
 from repro.sim.events import EventPriority
 from repro.sim.kernel import Simulator
 from repro.sim.latency import FixedLatency, LatencyModel
-from repro.sim.time import Instant
+from repro.timebase import Instant
 
 
 class NetworkMonitor:

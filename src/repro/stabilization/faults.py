@@ -20,7 +20,7 @@ from repro.core.daemon import DistributedDaemon
 from repro.errors import ConfigurationError
 from repro.graphs.conflict import ProcessId
 from repro.sim.events import EventPriority
-from repro.sim.time import Instant, validate_instant
+from repro.timebase import Instant, validate_instant
 
 
 @dataclass(frozen=True)

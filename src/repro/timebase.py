@@ -14,8 +14,7 @@ centralize the conventions the rest of the library relies on:
 
 Keeping time a plain float (instead of a wrapper class) keeps the event
 queue allocation-free on the hot path; the type alias :data:`Instant`
-documents intent in signatures.  :mod:`repro.sim.time` re-exports these
-names, so kernel-side code may keep importing from there.
+documents intent in signatures.
 """
 
 from __future__ import annotations

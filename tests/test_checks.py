@@ -13,7 +13,7 @@ import pytest
 
 from repro.checks import (
     CHANNEL_BOUND,
-    DINER_LOCAL,
+    EDGE_EXCLUSION,
     FIFO,
     FORK_UNIQUENESS,
     OVERTAKING,
@@ -49,6 +49,8 @@ from repro.errors import (
     FifoViolationError,
     ForkDuplicationError,
 )
+from repro.graphs import ring
+from repro.graphs.membership import MembershipDelta, MembershipLog, TopologyTimeline
 from repro.sim.checks import raise_violation
 
 
@@ -495,3 +497,44 @@ class TestReplay:
         deliver = _deliver(1.0, 0, 1, seq=1)
         send = _send(1.0, 0, 1, seq=1)
         assert merge_events([deliver], [send]) == [send, deliver]
+
+
+class TestBindWindows:
+    """One place binds the eventual properties' windows on both substrates."""
+
+    def test_static_suite_has_no_edge_scoped_checker_to_bind(self):
+        suite = standard_suite([(0, 1), (1, 2)])
+        suite.bind_windows(settle=7.0, patience=30.0, after=9.0)
+        assert suite.checker(WX_SAFETY).settle == 7.0
+        assert suite.checker(PROGRESS).patience == 30.0
+        assert suite.checker(OVERTAKING).after == 9.0
+        with pytest.raises(KeyError):
+            suite.checker(EDGE_EXCLUSION)
+
+    def test_none_leaves_a_window_as_configured(self):
+        suite = standard_suite([(0, 1)], CheckConfig(settle=3.0, patience=11.0))
+        suite.bind_windows(after=5.0)
+        assert suite.checker(WX_SAFETY).settle == 3.0
+        assert suite.checker(PROGRESS).patience == 11.0
+        assert suite.checker(OVERTAKING).after == 5.0
+
+    def test_dynamic_suite_binds_settle_on_both_exclusion_checkers(self):
+        log = MembershipLog([MembershipDelta(time=4.0, verb="leave", pid=2)])
+        timeline = TopologyTimeline(ring(4), log)
+        suite = standard_suite(
+            sorted(timeline.union().edges), dynamic=True, membership=timeline
+        )
+        suite.bind_windows(settle=12.0)
+        assert suite.checker(WX_SAFETY).settle == 12.0
+        assert suite.checker(EDGE_EXCLUSION).settle == 12.0
+        assert suite.checker(PROGRESS).patience is None
+
+    def test_bound_settle_turns_a_late_overlap_into_a_failure(self):
+        suite = standard_suite([(0, 1)], state_probes=False, diner_locals=False)
+        for pid in (0, 1):
+            suite.observe(PhaseEvent(5.0, pid, "hungry", "eating"))
+        for pid in (0, 1):
+            suite.observe(PhaseEvent(6.0, pid, "eating", "thinking"))
+        assert suite.finalize(10.0).property(WX_SAFETY).status != "fail"
+        suite.bind_windows(settle=2.0)
+        assert suite.finalize(10.0).property(WX_SAFETY).status == "fail"

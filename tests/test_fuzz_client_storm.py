@@ -18,7 +18,7 @@ from repro.faults import (
     run_plan_kernel,
     sample_plan,
 )
-from repro.faults.engine import LEASE_BACKING, _fold_leaked
+from repro.faults.engine import LEASE_BACKING, _fold_leaked, _Storm, build_table
 from repro.faults.shrink import _candidates
 
 
@@ -79,6 +79,97 @@ def test_storm_sessions_survive_a_server_crash():
     denies = result.storm["denies"]
     # Requests routed at the dead diner's resource after the crash.
     assert denies.get("crashed", 0) + result.storm["counters"]["crash_reclaims"] >= 0
+
+
+class _GrantingCore:
+    """Stands in for the LockCore: grants at once, logs what it is asked."""
+
+    def __init__(self, clock):
+        self._clock = clock
+        self.requests = []  # (time, session, resource, ttl_ms)
+        self.outcome = {}  # session -> "abandon" | release time
+
+    def request(self, session, resource, ttl_ms, reply):
+        from repro.locks.messages import LeaseGrant
+
+        self.requests.append((self._clock(), session, resource, ttl_ms))
+        reply(LeaseGrant(sender=0, lease_id=session, ttl_ms=ttl_ms))
+
+    def abandon(self, session):
+        self.outcome[session] = "abandon"
+
+    def release(self, session, lease_id):
+        assert lease_id == session
+        self.outcome[session] = self._clock()
+
+
+def _drive_storm_on_a_fake_clock(plan, time_scale):
+    """Run the storm driver on a bare timer heap; returns the core's log."""
+    import heapq
+
+    clock = [0.0]
+    timers = []
+
+    def at(delay, fn):
+        heapq.heappush(timers, (clock[0] + delay, len(timers), fn))
+
+    storm = _Storm(
+        build_table(plan),
+        plan,
+        now=lambda: clock[0],
+        at=at,
+        soon=lambda fn: at(0.0, fn),
+        time_scale=time_scale,
+    )
+    core = storm.core = _GrantingCore(lambda: clock[0])
+    storm.arm()
+    # The kernel's scheduling order: every burst is on the heap at arm().
+    assert len(timers) == -(-plan.storm.sessions // plan.storm.burst)
+    while timers:
+        clock[0], _, fn = heapq.heappop(timers)
+        fn()
+    return core
+
+
+def test_storm_driver_issues_bursts_at_the_spec_interval_on_a_fake_clock():
+    from repro.locks.messages import SESSION_BASE
+
+    plan = _storm_plan(
+        storm=ClientStormSpec(
+            sessions=10, burst=4, interval=2.0, start=1.0, ttl=1.0, hold=0.3, abandon=0.25
+        )
+    )
+    core = _drive_storm_on_a_fake_clock(plan, time_scale=1.0)
+    assert [r[1] for r in core.requests] == list(range(SESSION_BASE, SESSION_BASE + 10))
+    assert [r[0] for r in core.requests] == [1.0] * 4 + [3.0] * 4 + [5.0] * 2
+    assert {r[3] for r in core.requests} == {1000}  # ttl in ms, rounded once
+    issued = {session: when for when, session, _, _ in core.requests}
+    for session, outcome in core.outcome.items():
+        assert outcome == "abandon" or outcome == pytest.approx(issued[session] + 0.3)
+    assert len(core.outcome) == 10  # every grant was abandoned or released
+
+
+def test_storm_draws_do_not_depend_on_what_drives_the_storm():
+    """Same seed, same (session -> resource, abandon?) sequence whether
+    the callables are the kernel's, a scaled wall clock's, or a fake."""
+    plan = _storm_plan()
+
+    def draws(core):
+        return [
+            (session, resource, core.outcome[session] == "abandon")
+            for _, session, resource, _ in core.requests
+        ]
+
+    plain = _drive_storm_on_a_fake_clock(plan, time_scale=1.0)
+    scaled = _drive_storm_on_a_fake_clock(plan, time_scale=0.02)
+    assert draws(plain) == draws(scaled)
+    assert {r[3] for r in scaled.requests} == {20}  # 1.0 plan-s TTL at 0.02 -> 20 ms
+    assert [r[0] for r in scaled.requests][:5] == pytest.approx([0.02] * 4 + [0.06])
+    assert len({resource for _, resource, _ in draws(plain)}) > 1
+    assert any(abandoned for _, _, abandoned in draws(plain))
+    # A different seed is a different storm.
+    other = _drive_storm_on_a_fake_clock(plan.with_(seed=4), time_scale=1.0)
+    assert draws(other) != draws(plain)
 
 
 def test_leaked_lease_fails_the_lease_backing_property():

@@ -15,7 +15,9 @@ Three layers of coverage:
   PASSes ``standard_suite(dynamic=True)`` on the kernel, the seeded
   ``unreclaimed-leave`` mutant FAILs edge-scoped exclusion with an
   epoch-stamped witness, kernel and live substrates agree property by
-  property on the same churn plan, an all-static run with an explicit
+  property on the same churn plan *and* record the same
+  ``membership_change`` sequence and final neighbor sets (one delta
+  interpreter, two seats), an all-static run with an explicit
   empty log stays byte-identical to the pinned golden trace, and a real
   3-process cluster survives a mid-run join + leave.
 """
@@ -52,8 +54,10 @@ from repro.graphs.membership import (
     TopologyTimeline,
 )
 from repro.net.cluster import ClusterSpec, launch
+from repro.net.host import AsyncHost, HostConfig, run_host
 from repro.sim.crash import CrashPlan
 from repro.trace import serialize
+from repro.trace.events import MembershipChange
 from repro.trace.recorder import TraceRecorder
 
 GOLDEN = Path(__file__).parent / "fixtures" / "golden_trace_ring5.json"
@@ -333,6 +337,49 @@ def test_churn_plan_statuses_agree_across_substrates():
     kernel = run_plan_kernel(plan, judge=False)
     live = run_plan_live(plan, judge=False, time_scale=0.01)
     assert kernel.verdict.statuses() == live.verdict.statuses()
+
+
+@pytest.mark.live
+def test_all_verb_churn_rewires_both_substrates_identically():
+    """One interpreter, two seats: the kernel table and a loopback host
+    must record the same ``membership_change`` sequence and leave every
+    live diner with the same neighbor set — statuses alone would not
+    notice a verb that rewired one substrate differently."""
+    time_scale = 0.01
+    plan = _ring6_churn_plan(horizon=60.0)
+    log = plan.membership_log()
+    table = DiningTable(ring(6), seed=0, strict_checks=False, membership=log)
+    table.run(until=plan.horizon)
+    host = AsyncHost(
+        ring(6),
+        config=HostConfig(duration=plan.horizon * time_scale, seed=0),
+        # Delta times scaled to host seconds, as run_plan_live scales them.
+        membership=MembershipLog(
+            MembershipDelta(d.time * time_scale, d.verb, d.pid, d.edges, d.peer)
+            for d in log
+        ),
+    )
+    run_host(host)
+    assert not host.violations
+
+    def deltas(seat):
+        return [
+            (r.epoch, r.verb, r.pid, tuple(r.edges))
+            for r in seat.trace.of_type(MembershipChange)
+        ]
+
+    def links(seat):
+        return {
+            pid: sorted(diner.links)
+            for pid, diner in seat.diners.items()
+            if not diner.crashed
+        }
+
+    assert deltas(table) == deltas(host)
+    assert [verb for _, verb, _, _ in deltas(table)] == [m.verb for m in ALL_VERB_CHURN]
+    assert links(table) == links(host)
+    assert links(table)[6] == [0, 5] and links(table)[2] == [1, 3]
+    assert table.epoch == host.wiring.epoch == len(ALL_VERB_CHURN)
 
 
 # ----------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 from repro.errors import SchedulingError
 from repro.sim.events import EventPriority
 from repro.sim.kernel import Simulator
-from repro.sim.time import END_OF_TIME
+from repro.timebase import END_OF_TIME
 
 
 class TestScheduling:

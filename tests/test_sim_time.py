@@ -5,7 +5,7 @@ import math
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.sim.time import (
+from repro.timebase import (
     END_OF_TIME,
     START_OF_TIME,
     validate_duration,
