@@ -43,6 +43,7 @@ from repro.checks.events import (
     ProbeEvent,
     SendEvent,
     SuspicionEvent,
+    wire_to_dict,
 )
 from repro.checks.properties import (
     CHANNEL_BOUND,
@@ -155,6 +156,7 @@ __all__ = [
     "probe_violations",
     "replay",
     "standard_suite",
+    "wire_to_dict",
     "worst_status",
     "worst_surprise",
 ]

@@ -41,7 +41,7 @@ from collections import defaultdict
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.checks.base import Checker
-from repro.checks.events import CrashEvent, PhaseEvent, ProcessId
+from repro.checks.events import ProcessId
 from repro.checks.properties import (
     EATING,
     ChannelBoundChecker,
@@ -50,6 +50,7 @@ from repro.checks.properties import (
     QuiescenceChecker,
 )
 from repro.checks.verdict import MAX_WITNESSES, PropertyVerdict, Violation
+from repro.trace.events import Crash, PhaseChange
 
 EDGE_EXCLUSION = "edge-exclusion"
 
@@ -75,7 +76,7 @@ class EdgeScopedExclusionChecker(Checker):
     """
 
     name = EDGE_EXCLUSION
-    interests = (PhaseEvent, CrashEvent)
+    interests = (PhaseChange, Crash)
 
     def __init__(
         self,
@@ -103,7 +104,7 @@ class EdgeScopedExclusionChecker(Checker):
 
     def observe(self, event, index: int) -> Optional[List[Violation]]:
         self.observed += 1
-        if type(event) is CrashEvent:
+        if type(event) is Crash:
             self._crashed.add(event.pid)
             self._stop_eating(event.pid, event.time)
             return None
@@ -205,7 +206,7 @@ class ResidencyProgressChecker(ProgressChecker):
     """
 
     def observe(self, event, index: int) -> Optional[List[Violation]]:
-        if type(event) is PhaseEvent and event.pid in self._crashed:
+        if type(event) is PhaseChange and event.pid in self._crashed:
             self._crashed.discard(event.pid)
         return super().observe(event, index)
 

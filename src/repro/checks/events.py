@@ -8,11 +8,17 @@ identically online in the kernel, online over live sockets, and offline
 over any recorded artifact, which is the whole point of the
 :mod:`repro.checks` subsystem.
 
-Two kinds of members:
+Three kinds of members:
 
-* **Serializable events** — phase, doorway, suspicion, crash (derived
-  from :mod:`repro.trace.events` records) and send/deliver/drop (derived
-  from wire-log records).  These are what ``repro check`` replays.
+* **Lifecycle facts** — phase, doorway, suspicion, crash and membership
+  changes *are* the :mod:`repro.trace.events` records: a substrate hands
+  the very record it wrote into its trace to the suite, and offline
+  replay hands over what ``trace.jsonl`` deserializes to.  The five
+  ``*Event`` names below are plain bindings to those classes.
+* **Message facts** — :class:`SendEvent` / :class:`DeliverEvent` /
+  :class:`DropEvent`, which are also the wire-log entry on both
+  substrates (:func:`wire_to_dict` is the one JSON form).  Together
+  with the lifecycle records these are what ``repro check`` replays.
 * **:class:`ProbeEvent`** — an *online-only* member carrying live local
   state views (the diner objects themselves, duck-typed).  State-based
   checkers (fork uniqueness, the diner-local invariants) consume it when
@@ -20,15 +26,23 @@ Two kinds of members:
   replay of a recorded trace has no state to probe).
 
 Message events carry the per-directed-channel sequence number when the
-substrate knows it (the wire codec always does; the kernel adapter
-assigns them at send), which is what makes the FIFO/no-loss property
-checkable from the stream alone.
+substrate knows it (the wire codec always does; the kernel network
+stamps them at send once a FIFO checker is attached), which is what
+makes the FIFO/no-loss property checkable from the stream alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import ClassVar, Mapping, Optional
+
+from repro.trace.events import (
+    Crash,
+    DoorwayChange,
+    MembershipChange,
+    PhaseChange,
+    SuspicionChange,
+)
 
 ProcessId = int
 
@@ -36,72 +50,26 @@ ProcessId = int
 #: or semantics; verdicts record the version they were produced under.
 CHECK_EVENT_VERSION = 2
 
-
-@dataclass(frozen=True)
-class PhaseEvent:
-    """A diner moved between thinking / hungry / eating."""
-
-    time: float
-    pid: ProcessId
-    old_phase: str
-    new_phase: str
+# The historical check-event names of the lifecycle facts.
+PhaseEvent = PhaseChange
+DoorwayEvent = DoorwayChange
+SuspicionEvent = SuspicionChange
+CrashEvent = Crash
+MembershipEvent = MembershipChange
 
 
-@dataclass(frozen=True)
-class DoorwayEvent:
-    """A diner entered (``inside=True``) or exited the asynchronous doorway."""
-
-    time: float
-    pid: ProcessId
-    inside: bool
-
-
-@dataclass(frozen=True)
-class SuspicionEvent:
-    """A detector module's output on one neighbor flipped."""
-
-    time: float
-    observer: ProcessId
-    suspect: ProcessId
-    suspected: bool
-
-
-@dataclass(frozen=True)
-class CrashEvent:
-    """A process crashed."""
-
-    time: float
-    pid: ProcessId
-
-
-@dataclass(frozen=True)
-class MembershipEvent:
-    """One membership delta applied: the conflict topology changed.
-
-    ``epoch`` is the monotone counter *after* the delta.  ``edges``
-    carries a ``join``'s initial neighbor pids; the edge verbs put the
-    peer there.  Checkers whose bookkeeping is keyed to a link's
-    incarnation (Lemma 2.2's outstanding-ping table) consume this to
-    retire state the teardown already retired on the wire — exactly what
-    the delta interpreter does online through ``retire_stale``, now
-    visible to offline replay too.
-    """
-
-    time: float
-    epoch: int
-    verb: str
-    pid: ProcessId
-    edges: tuple = ()
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SendEvent:
     """A message entered the directed channel ``src -> dst``.
 
     ``type`` is the message class name (``"Fork"``, ``"Ping"``, …),
-    ``layer`` its protocol layer (``"dining"`` or ``"detector"``), and
-    ``seq`` the per-directed-channel sequence number when known.
+    ``layer`` its protocol layer (``"dining"`` or ``"detector"``),
+    ``seq`` the per-directed-channel sequence number when known, and
+    ``bits`` the frame size where a codec is in play (a live send; 0 on
+    the kernel and on departures).
     """
+
+    kind: ClassVar[str] = "send"
 
     time: float
     src: ProcessId
@@ -109,30 +77,60 @@ class SendEvent:
     type: str
     layer: str
     seq: Optional[int] = None
+    bits: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DeliverEvent:
     """A message left the channel and was handed to the destination."""
 
+    kind: ClassVar[str] = "deliver"
+
     time: float
     src: ProcessId
     dst: ProcessId
     type: str
     layer: str
     seq: Optional[int] = None
+    bits: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DropEvent:
     """A message was discarded (crashed destination or severed link)."""
 
+    kind: ClassVar[str] = "drop"
+
     time: float
     src: ProcessId
     dst: ProcessId
     type: str
     layer: str
     seq: Optional[int] = None
+    bits: int = 0
+
+
+#: Message-event classes, keyed the way wire logs spell them.
+WIRE_EVENT_TYPES = {cls.kind: cls for cls in (SendEvent, DeliverEvent, DropEvent)}
+
+
+def wire_to_dict(event) -> dict:
+    """One message event as its wire-log JSON object.
+
+    The one serialized form: a host's ``wire.jsonl``, a flight dump, a
+    fuzz result's ``wire`` list and a witness directory all hold exactly
+    this, so any of them replays through ``repro check``.
+    """
+    return {
+        "kind": event.kind,
+        "src": event.src,
+        "dst": event.dst,
+        "type": event.type,
+        "layer": event.layer,
+        "seq": event.seq,
+        "time": event.time,
+        "bits": event.bits,
+    }
 
 
 class ProbeEvent:
@@ -167,19 +165,3 @@ class ProbeEvent:
         self.states = states
         self.edges = edges
         self.pairs = pairs
-
-
-#: Serializable message-event kinds, keyed the way wire logs spell them.
-WIRE_EVENT_TYPES = {"send": SendEvent, "deliver": DeliverEvent, "drop": DropEvent}
-
-#: Every serializable member of the vocabulary.
-SERIALIZABLE_EVENT_TYPES = (
-    PhaseEvent,
-    DoorwayEvent,
-    SuspicionEvent,
-    CrashEvent,
-    MembershipEvent,
-    SendEvent,
-    DeliverEvent,
-    DropEvent,
-)

@@ -24,16 +24,14 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.checks.base import Checker
 from repro.checks.events import (
-    CrashEvent,
     DeliverEvent,
     DropEvent,
-    MembershipEvent,
-    PhaseEvent,
     ProbeEvent,
     ProcessId,
     SendEvent,
 )
 from repro.checks.verdict import MAX_WITNESSES, SKIP, PropertyVerdict, Violation
+from repro.trace.events import Crash, MembershipChange, PhaseChange
 
 EATING = "eating"
 HUNGRY = "hungry"
@@ -477,7 +475,7 @@ class FifoChecker(Checker):
 
     Events without a sequence number are counted but not judged; every
     substrate in this repo stamps them (the wire codec carries them in
-    frames, the kernel adapter assigns them at send).
+    frames, the kernel network numbers every send).
     """
 
     name = FIFO
@@ -553,7 +551,7 @@ class PendingPingChecker(Checker):
     """Lemma 2.2 on the wire: one outstanding ping per ordered pair."""
 
     name = PENDING_PING
-    interests = (SendEvent, DeliverEvent, MembershipEvent)
+    interests = (SendEvent, DeliverEvent, MembershipChange)
 
     def __init__(self) -> None:
         super().__init__()
@@ -562,7 +560,7 @@ class PendingPingChecker(Checker):
         self.pings_total = 0
 
     def observe(self, event, index: int) -> Optional[List[Violation]]:
-        if type(event) is MembershipEvent:
+        if type(event) is MembershipChange:
             self.note_membership(event.verb, event.pid, event.edges)
             return None
         if type(event) is SendEvent:
@@ -671,7 +669,7 @@ class WxSafetyChecker(Checker):
     """
 
     name = WX_SAFETY
-    interests = (PhaseEvent, CrashEvent)
+    interests = (PhaseChange, Crash)
 
     def __init__(self, edges: Sequence[Edge], *, settle: Optional[float] = None) -> None:
         super().__init__()
@@ -690,7 +688,7 @@ class WxSafetyChecker(Checker):
 
     def observe(self, event, index: int) -> Optional[List[Violation]]:
         self.observed += 1
-        if type(event) is CrashEvent:
+        if type(event) is Crash:
             self._crashed.add(event.pid)
             self._stop_eating(event.pid, event.time)
             return None
@@ -756,7 +754,7 @@ class ProgressChecker(Checker):
     """
 
     name = PROGRESS
-    interests = (PhaseEvent, CrashEvent)
+    interests = (PhaseChange, Crash)
 
     def __init__(
         self,
@@ -776,7 +774,7 @@ class ProgressChecker(Checker):
 
     def observe(self, event, index: int) -> Optional[List[Violation]]:
         self.observed += 1
-        if type(event) is CrashEvent:
+        if type(event) is Crash:
             self._crashed.add(event.pid)
             self._hungry_since.pop(event.pid, None)
             return None
@@ -835,7 +833,7 @@ class OvertakingChecker(Checker):
     """
 
     name = OVERTAKING
-    interests = (PhaseEvent, CrashEvent)
+    interests = (PhaseChange, Crash)
 
     def __init__(
         self,
@@ -858,7 +856,7 @@ class OvertakingChecker(Checker):
 
     def observe(self, event, index: int) -> Optional[List[Violation]]:
         self.observed += 1
-        if type(event) is CrashEvent:
+        if type(event) is Crash:
             self._close_session(event.pid, event.time)
             return None
         if event.new_phase == HUNGRY:
@@ -944,7 +942,7 @@ class QuiescenceChecker(Checker):
     """Section 7 quiescence: correct processes eventually stop messaging
     crashed neighbors.
 
-    Crash instants are learned from :class:`CrashEvent`s and, online,
+    Crash instants are learned from :class:`Crash` records and, online,
     from an optional ``crash_time_of`` oracle (the kernel's crash plan).
     Every post-crash send is recorded; with a ``grace`` window, a
     config-layer send more than ``grace`` after the destination's crash
@@ -952,7 +950,7 @@ class QuiescenceChecker(Checker):
     """
 
     name = QUIESCENCE
-    interests = (SendEvent, CrashEvent)
+    interests = (SendEvent, Crash)
 
     def __init__(
         self,
@@ -982,7 +980,7 @@ class QuiescenceChecker(Checker):
     def note_crash(self, pid: ProcessId, time: float) -> None:
         """Learn a crash instant out-of-band (idempotent).
 
-        Adapters that defer their :class:`CrashEvent` stream to a
+        Adapters that defer their :class:`Crash` records to a
         finalize-time replay call this when the crash actually happens,
         so post-crash sends are still recognised online.
         """
@@ -990,7 +988,7 @@ class QuiescenceChecker(Checker):
             self._crash_times[pid] = time
 
     def observe(self, event, index: int) -> Optional[List[Violation]]:
-        if type(event) is CrashEvent:
+        if type(event) is Crash:
             self.observed += 1
             self.note_crash(event.pid, event.time)
             return None

@@ -17,15 +17,7 @@ from __future__ import annotations
 import json
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from repro.checks.events import (
-    CrashEvent,
-    DoorwayEvent,
-    MembershipEvent,
-    PhaseEvent,
-    SendEvent,
-    SuspicionEvent,
-    WIRE_EVENT_TYPES,
-)
+from repro.checks.events import WIRE_EVENT_TYPES, SendEvent
 from repro.checks.suite import CheckConfig, CheckSuite, standard_suite
 from repro.checks.verdict import Verdict
 from repro.errors import ConfigurationError
@@ -40,66 +32,50 @@ from repro.trace.serialize import record_from_dict
 
 Edge = Tuple[int, int]
 
-#: ``kind`` values of trace-record JSONL lines that map to check events.
+#: Trace record classes the checkers consume, as they are.
+_CHECKABLE_RECORDS = frozenset(
+    (PhaseChange, DoorwayChange, SuspicionChange, Crash, MembershipChange)
+)
+#: Their ``kind`` values on trace-record JSONL lines.
 _TRACE_KINDS = {"phase", "doorway", "suspicion", "crash", "membership"}
 #: ``kind`` values carried by trace records with no checkable content.
 _IGNORED_TRACE_KINDS = {"protocol_step", "transient_fault"}
 
 
 def event_from_trace_record(record) -> Optional[object]:
-    """One trace record as a check event (None for non-checkable kinds)."""
-    cls = type(record)
-    if cls is PhaseChange:
-        return PhaseEvent(record.time, record.pid, record.old_phase, record.new_phase)
-    if cls is Crash:
-        return CrashEvent(record.time, record.pid)
-    if cls is DoorwayChange:
-        return DoorwayEvent(record.time, record.pid, record.inside)
-    if cls is SuspicionChange:
-        return SuspicionEvent(
-            record.time, record.observer, record.suspect, record.suspected
-        )
-    if cls is MembershipChange:
-        return MembershipEvent(
-            record.time, record.epoch, record.verb, record.pid, tuple(record.edges)
-        )
-    return None
+    """The record itself when checkers consume its kind, else None."""
+    return record if type(record) in _CHECKABLE_RECORDS else None
 
 
 def events_from_trace(records: Iterable) -> List[object]:
-    """Check events for every checkable record, in trace order."""
-    events = []
-    for record in records:
-        event = event_from_trace_record(record)
-        if event is not None:
-            events.append(event)
-    return events
+    """Every checkable record, in trace order."""
+    return [record for record in records if type(record) in _CHECKABLE_RECORDS]
 
 
-def event_from_wire(record) -> object:
-    """One wire-log entry (dict or any object with the wire fields)."""
-    get = record.get if isinstance(record, dict) else lambda k, d=None: getattr(record, k, d)
-    kind = get("kind")
+def event_from_wire(record: dict) -> object:
+    """One wire-log JSON object (see ``wire_to_dict``) as its message event."""
+    kind = record.get("kind")
     cls = WIRE_EVENT_TYPES.get(kind)
     if cls is None:
         raise ConfigurationError(f"unknown wire event kind {kind!r}")
     return cls(
-        time=get("time"),
-        src=get("src"),
-        dst=get("dst"),
-        type=get("type"),
-        layer=get("layer"),
-        seq=get("seq"),
+        time=record.get("time"),
+        src=record.get("src"),
+        dst=record.get("dst"),
+        type=record.get("type"),
+        layer=record.get("layer"),
+        seq=record.get("seq"),
+        bits=record.get("bits", 0),
     )
 
 
-def events_from_wire(records: Iterable) -> List[object]:
+def events_from_wire(records: Iterable[dict]) -> List[object]:
     return [event_from_wire(record) for record in records]
 
 
 def _order_key(event) -> Tuple[float, int, int]:
     seq = getattr(event, "seq", None)
-    if type(event) is MembershipEvent:
+    if type(event) is MembershipChange:
         # A delta applies at the instant boundary: the sends it enables
         # (the fresh incarnation's first pings land at the same stamp)
         # happen after it, so its link resets must replay first.
@@ -143,9 +119,7 @@ def load_events_lines(lines: Iterable[str]) -> List[object]:
         if kind in WIRE_EVENT_TYPES:
             events.append(event_from_wire(data))
         elif kind in _TRACE_KINDS:
-            event = event_from_trace_record(record_from_dict(data))
-            if event is not None:
-                events.append(event)
+            events.append(record_from_dict(data))
         elif kind in _IGNORED_TRACE_KINDS:
             continue
         else:

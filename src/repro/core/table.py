@@ -282,23 +282,17 @@ class DiningTable:
 
         # Monitors (always on: cheap, and every experiment reads them).
         # With a check suite attached, the kernel adapter feeds the same
-        # canonical occupancy/quiescence implementations exactly once,
-        # batches the message stats, and the monitor objects become read
-        # facades over the shared state — the adapter is then the only
-        # registered observer besides the instrumentation.
+        # canonical occupancy/quiescence implementations exactly once and
+        # batches the message stats, so the table exposes the suite's own
+        # objects (they carry the monitors' read API) — the adapter is
+        # then the only registered observer besides the instrumentation.
         if self.checks is not None:
             self._check_adapter = KernelCheckAdapter(
                 self.checks, self.diners, crashing=self.crash_plan.faulty
             )
-            channel_checker = self.checks.checker(CHANNEL_BOUND)
             self.message_stats = self._check_adapter.stats
-            self.occupancy = ChannelOccupancyMonitor(
-                layer=channel_checker.layer, occupancy=channel_checker.occupancy
-            )
-            self.quiescence = QuiescenceMonitor(
-                self.crash_plan.as_dict().get,
-                checker=self.checks.checker(QUIESCENCE),
-            )
+            self.occupancy = self.checks.checker(CHANNEL_BOUND).occupancy
+            self.quiescence = self.checks.checker(QUIESCENCE)
         else:
             self.message_stats = MessageStats()
             self.occupancy = ChannelOccupancyMonitor(layer="dining")

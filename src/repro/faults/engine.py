@@ -32,11 +32,20 @@ the campaign layer sees a uniform Verdict either way.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import asdict, dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
-from repro.checks import FAIL, CheckConfig, PropertyVerdict, Verdict, Violation
+from repro.checks import (
+    FAIL,
+    CheckConfig,
+    DeliverEvent,
+    DropEvent,
+    PropertyVerdict,
+    SendEvent,
+    Verdict,
+    Violation,
+    wire_to_dict,
+)
 from repro.checks.properties import CHANNEL_BOUND, FIFO, FORK_UNIQUENESS
 from repro.core.messages import Fork
 from repro.core.table import DiningTable, scripted_detector
@@ -181,58 +190,33 @@ class FaultRunResult:
 # ----------------------------------------------------------------------
 # Wire logging (kernel): the offline-replayable message stream
 # ----------------------------------------------------------------------
-def _wire_record(kind, src, dst, type_name, layer, seq, time) -> dict:
-    """One wire-log entry, as both substrates' results carry it.
-
-    The dicts speak the exact vocabulary of
-    :func:`repro.checks.stream.event_from_wire`, so a witness directory's
-    ``wire.jsonl`` makes channel-bound / FIFO / quiescence judgeable by
-    ``repro check`` offline.
-    """
-    return {
-        "kind": kind,
-        "src": src,
-        "dst": dst,
-        "type": type_name,
-        "layer": layer,
-        "seq": seq,
-        "time": time,
-    }
-
-
 class _WireLogMonitor(NetworkMonitor):
-    """Records every kernel send/deliver/drop as a wire-log dict.
+    """Records every kernel send/deliver/drop as the message event a live
+    host would log, so a witness directory's ``wire.jsonl`` makes
+    channel-bound / FIFO / quiescence judgeable by ``repro check`` offline.
 
-    Sequence numbers are assigned at send; the kernel network is FIFO by
-    construction, so deliveries and drops retire them in order.
+    Sequence numbers are the network's own: every checked table arms
+    ``enable_sequencing`` for its FIFO checker, and the network exposes
+    the number of the send or departure being dispatched.
     """
 
-    def __init__(self) -> None:
-        self.records: List[dict] = []
-        self._next: Dict[Tuple[int, int], int] = {}
-        self._pending: Dict[Tuple[int, int], deque] = {}
+    def __init__(self, network) -> None:
+        self._network = network
+        self.events: list = []
 
-    def _record(self, kind, src, dst, message, time, seq) -> None:
-        self.records.append(
-            _wire_record(kind, src, dst, type(message).__name__, message_layer(message), seq, time)
+    def _log(self, cls, src, dst, message, time, seq) -> None:
+        self.events.append(
+            cls(time, src, dst, type(message).__name__, message_layer(message), seq)
         )
 
     def on_send(self, src, dst, message, time) -> None:
-        key = (src, dst)
-        seq = self._next.get(key, 0) + 1
-        self._next[key] = seq
-        self._pending.setdefault(key, deque()).append(seq)
-        self._record("send", src, dst, message, time, seq)
-
-    def _retire(self, src, dst) -> Optional[int]:
-        pending = self._pending.get((src, dst))
-        return pending.popleft() if pending else None
+        self._log(SendEvent, src, dst, message, time, self._network.last_send_seq)
 
     def on_deliver(self, src, dst, message, time) -> None:
-        self._record("deliver", src, dst, message, time, self._retire(src, dst))
+        self._log(DeliverEvent, src, dst, message, time, self._network.delivering_seq)
 
     def on_drop(self, src, dst, message, time) -> None:
-        self._record("drop", src, dst, message, time, self._retire(src, dst))
+        self._log(DropEvent, src, dst, message, time, self._network.delivering_seq)
 
 
 # ----------------------------------------------------------------------
@@ -573,7 +557,7 @@ def run_plan_kernel(
         detector=detector,
         windows=windows,
     )
-    wire = _WireLogMonitor()
+    wire = _WireLogMonitor(table.network)
     if artifacts:
         table.network.add_monitor(wire)
     for monitor in monitors:
@@ -617,7 +601,7 @@ def run_plan_kernel(
         events=table.sim.processed_events,
         stopped_early=stopped_early or error is not None,
         trace=table.trace if artifacts else None,
-        wire=wire.records,
+        wire=[wire_to_dict(event) for event in wire.events],
     )
 
 
@@ -735,10 +719,7 @@ def run_plan_live(
         meals={pid: d.meals_eaten for pid, d in host.diners.items()},
         events=host.checks.events_observed,
         trace=host.trace,
-        wire=[
-            _wire_record(e.kind, e.src, e.dst, e.type, e.layer, e.seq, e.time)
-            for e in host.wire_events
-        ],
+        wire=[wire_to_dict(event) for event in host.wire_events],
     )
 
 

@@ -30,7 +30,7 @@ from repro.net.codec import (
     encode_message,
     frame_size_bits,
 )
-from repro.net.host import AsyncHost, HostConfig, WireEvent
+from repro.net.host import AsyncHost, HostConfig
 from repro.net.substrate import LiveSubstrate, LiveTimer
 
 __all__ = [
@@ -40,7 +40,6 @@ __all__ = [
     "LiveSubstrate",
     "LiveTimer",
     "WireCodecError",
-    "WireEvent",
     "decode_message",
     "encode_frame",
     "encode_message",

@@ -50,8 +50,7 @@ from repro.checks import (
     PropertyVerdict,
     Verdict,
     annotate_violations,
-    events_from_trace,
-    events_from_wire,
+    load_events_path,
     merge_events,
     standard_suite,
 )
@@ -62,7 +61,6 @@ from repro.net.host import AsyncHost, HostConfig, run_host
 from repro.obs.metrics import MetricsRegistry, gauge_max, merge_snapshots
 from repro.obs.report import render_prometheus
 from repro.obs.tracing import completed_meals, dump_spans, load_spans, stitch_spans
-from repro.trace.serialize import load_path
 
 __all__ = [
     "ClusterHandle",
@@ -491,19 +489,13 @@ def _load_merged_events(host_dirs: List[str]) -> List[object]:
     departures they race with) replays each edge's true occupancy
     staircase.
     """
-    streams: List[List[object]] = []
-    for directory in host_dirs:
-        streams.append(
-            events_from_trace(load_path(os.path.join(directory, "trace.jsonl")))
+    return merge_events(
+        *(
+            load_events_path(os.path.join(directory, name))
+            for directory in host_dirs
+            for name in ("trace.jsonl", "wire.jsonl")
         )
-        wire: List[dict] = []
-        with open(os.path.join(directory, "wire.jsonl"), "r", encoding="utf-8") as stream:
-            for line in stream:
-                line = line.strip()
-                if line:
-                    wire.append(json.loads(line))
-        streams.append(events_from_wire(wire))
-    return merge_events(*streams)
+    )
 
 
 def check_config_for(spec: ClusterSpec) -> CheckConfig:

@@ -43,7 +43,7 @@ import json
 import os
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.checks import (
     CheckConfig,
@@ -54,7 +54,7 @@ from repro.checks import (
     Verdict,
     Violation,
     annotate_violations,
-    event_from_trace_record,
+    wire_to_dict,
 )
 from repro.core.assembly import Wiring, apply_delta
 from repro.core.diner import DinerActor
@@ -83,6 +83,7 @@ from repro.obs.instrument import (
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import (
+    LIFECYCLE_RECORDS,
     Span,
     SpanAssembler,
     completed_meals,
@@ -92,11 +93,11 @@ from repro.obs.tracing import (
 )
 from repro.sim.monitors import message_layer
 from repro.sim.rng import RandomStreams
-from repro.trace.events import Crash, DoorwayChange, PhaseChange
+from repro.trace.events import Crash, PhaseChange
 from repro.trace.recorder import TraceRecorder
 from repro.trace.serialize import dump_path, record_to_dict
 
-__all__ = ["AsyncHost", "HostConfig", "WireEvent", "run_host"]
+__all__ = ["AsyncHost", "HostConfig", "run_host"]
 
 
 @dataclass
@@ -128,27 +129,6 @@ class HostConfig:
     #: recorded violation (None = recorder off).
     flight_dir: Optional[str] = None
     flight_capacity: int = 512
-
-
-class WireEvent(NamedTuple):
-    """One observed transport event, timestamped on the shared epoch clock.
-
-    ``kind`` is ``send``, ``deliver``, or ``drop`` (delivery attempt at a
-    crashed actor).  Both endpoints of a cross-host edge log with the same
-    machine's clock, so merged wire logs reconstruct exact per-edge
-    occupancy with no skew correction.  A named tuple rather than a
-    dataclass: the wire log appends two of these per local message, and
-    tuple construction is the cheapest allocation the interpreter offers.
-    """
-
-    kind: str
-    src: ProcessId
-    dst: ProcessId
-    type: str
-    layer: str
-    seq: int
-    time: float
-    bits: int
 
 
 class AsyncHost:
@@ -356,11 +336,21 @@ class AsyncHost:
             )
             for pid in self.local_pids
         }
-        self.trace.add_listener(self._on_trace_record, types=(PhaseChange, Crash))
+        # ``observe`` is looked up on every record, never captured: the
+        # performance ledger rebinds ``host.checks.observe`` on the
+        # instance after construction to time the live feed.
+        self.trace.add_listener(
+            lambda record: self.checks.observe(record), types=(PhaseChange, Crash)
+        )
         self._end: Optional[float] = None
 
         self._next_seq: Dict[Tuple[ProcessId, ProcessId], int] = {}
-        self.wire_events: List[WireEvent] = []
+        #: The wire log: every send/deliver/drop this host saw, as the
+        #: very message events its suite observed.  Both endpoints of a
+        #: cross-host edge stamp with the same machine's shared-epoch
+        #: clock, so merged logs reconstruct exact per-edge occupancy
+        #: with no skew correction.
+        self.wire_events: List[Union[SendEvent, DeliverEvent, DropEvent]] = []
         self.violations: List[str] = []
 
         # Request tracing: lifecycle records drive the span assembler;
@@ -370,9 +360,7 @@ class AsyncHost:
         self.spans: List[Span] = []
         if self.config.tracing:
             self.tracer = SpanAssembler()
-            self.trace.add_listener(
-                self._on_span_record, types=(PhaseChange, DoorwayChange, Crash)
-            )
+            self.trace.add_listener(self.tracer.on_record, types=LIFECYCLE_RECORDS)
 
         self.flight: Optional[FlightRecorder] = None
         if self.config.flight_dir is not None:
@@ -448,11 +436,12 @@ class AsyncHost:
         peer = self._placement[dst]
         if peer == self.host_index:
             bits = 8 * frame_wire_bytes(src, dst, seq, message, context)
-            self._wire(WireEvent("send", src, dst, name, layer, seq, now, bits))
+            event = SendEvent(now, src, dst, name, layer, seq, bits)
+            self._wire(event)
             # Local edge: both endpoints observable, so the live per-edge
             # gauge and the Section 7 bound checker are exact here.
             self._net_probe.on_send(src, dst, message, now)
-            self.checks.observe(SendEvent(now, src, dst, name, layer, seq))
+            self.checks.observe(event)
             if self._inject_latency is None:
                 self.loop.call_soon(self._receive, src, dst, seq, message, context)
             else:
@@ -476,7 +465,7 @@ class AsyncHost:
             # where both endpoints are local; the cluster merge owns it).
             frame = encode_frame(src, dst, seq, message, context)
             bits = 8 * len(frame)
-            self._wire(WireEvent("send", src, dst, name, layer, seq, now, bits))
+            self._wire(SendEvent(now, src, dst, name, layer, seq, bits))
             cells = self._net_probe.type_cells(message)
             cells[SENT] += 1
             writer = self._writers.get(peer)
@@ -484,7 +473,7 @@ class AsyncHost:
                 # The peer is gone (crashed hosts sever their links, and
                 # hosts wind down independently): the message is lost in
                 # transit, exactly a crash-model drop.
-                self._wire(WireEvent("drop", src, dst, name, layer, seq, now, bits))
+                self._wire(DropEvent(now, src, dst, name, layer, seq, bits))
                 cells[DROPPED] += 1
             else:
                 self._buffer_frame(peer, frame)
@@ -528,48 +517,25 @@ class AsyncHost:
         actor = self.diners.get(dst)
         now = self.now
         name = type(message).__name__
-        layer = message_layer(message)
-        local_src = self._placement[src] == self.host_index
-        fence = self._fences.get((src, dst))
-        if fence is not None and 0 < seq <= fence:
-            # Stale traffic from before a rejoin or edge rebuild: drop at
-            # delivery, exactly like the kernel network's channel fence.
-            self._wire(WireEvent("drop", src, dst, name, layer, seq, now, 0))
-            self.checks.observe(DropEvent(now, src, dst, name, layer, seq))
-            if local_src:
-                self._net_probe.on_drop(src, dst, message, now)
-            return
-        if actor is None:
-            if self.timeline is not None and dst in self.union_graph:
-                # Dynamic run: the destination has not joined yet (or has
-                # left for good).  Detector probing keeps flowing to such
-                # pids by design, so this is a drop, not a fault.
-                self._wire(WireEvent("drop", src, dst, name, layer, seq, now, 0))
-                self.checks.observe(DropEvent(now, src, dst, name, layer, seq))
-                if local_src:
-                    self._net_probe.on_drop(src, dst, message, now)
-                return
+        if actor is None and (self.timeline is None or dst not in self.union_graph):
             self._record_violation(f"frame for non-local pid {dst} ({name} from {src})")
             return
-        if actor.crashed:
-            self._wire(
-                WireEvent("drop", src, dst, name, layer, seq, now, 0)
-            )
-            # The FIFO checker judges the carried seq either way; channel
-            # occupancy only retires sends it actually saw (local edges).
-            self.checks.observe(DropEvent(now, src, dst, name, layer, seq))
-            if local_src:
-                self._net_probe.on_drop(src, dst, message, now)
-            else:
-                self._net_probe.type_cells(message)[DROPPED] += 1
+        fence = self._fences.get((src, dst))
+        # Three ways a frame dies at delivery.  Stale traffic from before
+        # a rejoin or edge rebuild (seq at or below the channel fence),
+        # exactly like the kernel network's channel fence.  A destination
+        # of a dynamic run that has not joined yet or has left for good:
+        # detector probing keeps flowing to such pids by design, so this
+        # is a drop, not a fault.  A crashed actor.
+        if (fence is not None and 0 < seq <= fence) or actor is None or actor.crashed:
+            self._drop(src, dst, seq, message, now)
             return
-        self._wire(
-            WireEvent("deliver", src, dst, name, layer, seq, now, 0)
-        )
+        event = DeliverEvent(now, src, dst, name, message_layer(message), seq)
+        self._wire(event)
         if self.tracer is not None:
             self.tracer.receive(now, src, dst, name, context)
-        self.checks.observe(DeliverEvent(now, src, dst, name, layer, seq))
-        if local_src:
+        self.checks.observe(event)
+        if self._placement[src] == self.host_index:
             self._net_probe.on_deliver(src, dst, message, now)
         else:
             self._net_probe.type_cells(message)[DELIVERED] += 1
@@ -580,6 +546,20 @@ class AsyncHost:
             return
         self._after_step(dst)
 
+    def _drop(self, src: ProcessId, dst: ProcessId, seq: int, message, now: float) -> None:
+        """Log, judge and count one message discarded at delivery."""
+        event = DropEvent(
+            now, src, dst, type(message).__name__, message_layer(message), seq
+        )
+        self._wire(event)
+        # The FIFO checker judges the carried seq either way; channel
+        # occupancy only retires sends it actually saw (local edges).
+        self.checks.observe(event)
+        if self._placement[src] == self.host_index:
+            self._net_probe.on_drop(src, dst, message, now)
+        else:
+            self._net_probe.type_cells(message)[DROPPED] += 1
+
     # ------------------------------------------------------------------
     # Checking
     # ------------------------------------------------------------------
@@ -588,27 +568,13 @@ class AsyncHost:
         probe.time = self.now
         self.checks.observe(probe)
 
-    def _on_trace_record(self, record) -> None:
-        event = event_from_trace_record(record)
-        if event is not None:
-            self.checks.observe(event)
-
-    def _on_span_record(self, record) -> None:
-        tracer = self.tracer
-        if type(record) is PhaseChange:
-            tracer.on_phase(record.time, record.pid, record.old_phase, record.new_phase)
-        elif type(record) is DoorwayChange:
-            tracer.on_doorway(record.time, record.pid, record.inside)
-        else:
-            tracer.on_crash(record.time, record.pid)
-
     def _on_flight_record(self, record) -> None:
         self.flight.record_trace(record_to_dict(record))
 
-    def _wire(self, event: WireEvent) -> None:
+    def _wire(self, event) -> None:
         self.wire_events.append(event)
         if self.flight is not None:
-            self.flight.record_wire(event._asdict())
+            self.flight.record_wire(wire_to_dict(event))
 
     def _on_check_violation(self, violation: Violation) -> None:
         self._record_violation(f"{violation.prop}: {violation.detail}")
@@ -991,7 +957,7 @@ class AsyncHost:
             dump_spans(os.path.join(directory, "spans.jsonl"), self.spans)
         with open(os.path.join(directory, "wire.jsonl"), "w", encoding="utf-8") as stream:
             for event in self.wire_events:
-                stream.write(json.dumps(event._asdict(), sort_keys=True))
+                stream.write(json.dumps(wire_to_dict(event), sort_keys=True))
                 stream.write("\n")
         with open(os.path.join(directory, "metrics.json"), "w", encoding="utf-8") as stream:
             json.dump(self.registry.snapshot(), stream, indent=2, sort_keys=True)
@@ -1002,17 +968,6 @@ class AsyncHost:
 
 
 def run_host(host: AsyncHost) -> Dict[str, object]:
-    """Run one host to completion on a fresh event loop; returns its result.
-
-    Uses uvloop's event loop when the interpreter has it (a drop-in
-    libuv-backed loop with cheaper timers and socket I/O); the stock
-    asyncio loop otherwise — no hard dependency either way.
-    """
-    try:
-        import uvloop  # type: ignore[import-not-found]
-    except ImportError:
-        asyncio.run(host.run())
-    else:
-        with asyncio.Runner(loop_factory=uvloop.new_event_loop) as runner:
-            runner.run(host.run())
+    """Run one host to completion on a fresh event loop; returns its result."""
+    asyncio.run(host.run())
     return host.result()

@@ -40,9 +40,11 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
-from repro.trace.events import EATING, HUNGRY, THINKING
+from repro.checks.events import DeliverEvent, DropEvent, SendEvent
+from repro.trace.events import EATING, HUNGRY, THINKING, Crash, DoorwayChange, PhaseChange
 
 __all__ = [
+    "LIFECYCLE_RECORDS",
     "NO_CONTEXT",
     "PHASE_SPANS",
     "SPAN_EATING",
@@ -84,6 +86,10 @@ SPAN_FORKS_HELD = "forks-held"
 SPAN_EATING = "eating"
 
 PHASE_SPANS = (SPAN_HUNGRY, SPAN_FORKS_REQUESTED, SPAN_FORKS_HELD, SPAN_EATING)
+
+#: The trace record types that move a request span
+#: (:meth:`SpanAssembler.on_record`); subscribe a trace listener to these.
+LIFECYCLE_RECORDS = (PhaseChange, DoorwayChange, Crash)
 
 #: Fixed per-trace span ids (uniqueness is the ``(trace_id, span_id)``
 #: pair).  Small constants keep the wire context a few varint bytes.
@@ -295,6 +301,21 @@ class SpanAssembler:
         self._appended += 1
 
     # -- local lifecycle events ----------------------------------------
+    def on_record(self, record) -> None:
+        """Dispatch one lifecycle trace record (:data:`LIFECYCLE_RECORDS`).
+
+        The one entry point for lifecycle facts: the kernel tracer and
+        the live host subscribe it to their trace recorder, and offline
+        rebuilds reach it through :meth:`observe`.
+        """
+        cls = type(record)
+        if cls is PhaseChange:
+            self.on_phase(record.time, record.pid, record.old_phase, record.new_phase)
+        elif cls is DoorwayChange:
+            self.on_doorway(record.time, record.pid, record.inside)
+        elif cls is Crash:
+            self.on_crash(record.time, record.pid)
+
     def on_phase(self, time: float, pid: int, old_phase: str, new_phase: str) -> None:
         lamport = self._tick(pid)
         if new_phase == HUNGRY:
@@ -374,23 +395,8 @@ class SpanAssembler:
     # -- normalized-event dispatch (offline + adapters) ----------------
     def observe(self, event) -> None:
         """Dispatch one :mod:`repro.checks.events` member."""
-        from repro.checks.events import (
-            CrashEvent,
-            DeliverEvent,
-            DoorwayEvent,
-            DropEvent,
-            PhaseEvent,
-            SendEvent,
-        )
-
         cls = type(event)
-        if cls is PhaseEvent:
-            self.on_phase(event.time, event.pid, event.old_phase, event.new_phase)
-        elif cls is DoorwayEvent:
-            self.on_doorway(event.time, event.pid, event.inside)
-        elif cls is CrashEvent:
-            self.on_crash(event.time, event.pid)
-        elif cls is SendEvent:
+        if cls is SendEvent:
             self._queue_stamp(event.src, event.dst, self.send(event.time, event.src))
         elif cls is DeliverEvent:
             self.receive(
@@ -403,6 +409,8 @@ class SpanAssembler:
         # Drops still consume their channel stamp (FIFO, no reordering).
         elif cls is DropEvent:
             self._pop_stamp(event.src, event.dst)
+        else:
+            self.on_record(event)
 
     # Per-directed-channel stamp queues: channels are FIFO and lossless
     # up to explicit drops, so the n-th departure carries the n-th stamp.
@@ -550,32 +558,17 @@ def completed_meals(spans: Iterable[Span]) -> int:
 class KernelTracer:
     """Feeds a :class:`SpanAssembler` from a running :class:`DiningTable`.
 
-    Subscribes typed trace listeners for the lifecycle records and a
+    Subscribes one typed trace listener for the lifecycle records and a
     network monitor for message stamps — both no-ops for every run that
     does not attach a tracer, which is what keeps the disabled overhead
     inside the kernel benchmark guard.
     """
 
     def __init__(self, table, *, capacity: Optional[int] = None) -> None:
-        from repro.trace.events import Crash, DoorwayChange, PhaseChange
-
         self._table = table
         self.assembler = SpanAssembler(capacity=capacity)
-        trace = table.trace
-        trace.add_listener(self._on_phase, types=(PhaseChange,))
-        trace.add_listener(self._on_doorway, types=(DoorwayChange,))
-        trace.add_listener(self._on_crash, types=(Crash,))
+        table.trace.add_listener(self.assembler.on_record, types=LIFECYCLE_RECORDS)
         table.network.add_monitor(self)
-
-    # trace listeners
-    def _on_phase(self, record) -> None:
-        self.assembler.on_phase(record.time, record.pid, record.old_phase, record.new_phase)
-
-    def _on_doorway(self, record) -> None:
-        self.assembler.on_doorway(record.time, record.pid, record.inside)
-
-    def _on_crash(self, record) -> None:
-        self.assembler.on_crash(record.time, record.pid)
 
     # NetworkMonitor interface
     def on_send(self, src: int, dst: int, message, time: float) -> None:

@@ -22,9 +22,10 @@ so this path has a hard wall-clock budget (see
   (:class:`~repro.checks.properties.ChannelOccupancy`, the suite's
   :class:`~repro.checks.properties.QuiescenceChecker`, a
   :class:`~repro.sim.monitors.DeferredMessageStats`) exactly once and
-  the monitor objects become read facades over the shared state — the
-  checked run performs each count one time, not two, and registers one
-  observer where the bare table registers three.
+  the table exposes those very objects as ``occupancy`` / ``quiescence``
+  / ``message_stats`` — the checked run performs each count one time,
+  not two, and registers one observer where the bare table registers
+  three.
 * **Allocation-free checker calls.**  Wire traffic is fed through the
   checkers' ``record_*`` fast paths instead of materializing one event
   dataclass per message and paying the suite's type dispatch — the
@@ -86,7 +87,6 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Dict, Iterable, List, Tuple
 
-from repro.checks.events import CrashEvent, PhaseEvent
 from repro.checks.properties import (
     CHANNEL_BOUND,
     DINER_LOCAL,
@@ -224,7 +224,7 @@ class KernelCheckAdapter(NetworkMonitor):
 
         channel = self._channel
         # Occupancy is maintained inline against the checker's own dicts
-        # (the facades read the very same objects); the bound guard
+        # (``table.occupancy`` is the very same object); the bound guard
         # delegates violation construction to ``record_level``.
         occ = channel.occupancy if channel is not None else None
         occ_current = occ.current if occ is not None else None
@@ -498,9 +498,9 @@ class KernelCheckAdapter(NetworkMonitor):
         The eventual-property checkers (◇WX, progress, overtaking) only
         *judge* at ``finalize``, so their event diet is deferred: online,
         a phase change merely marks state dirty, and the suite sees the
-        :class:`PhaseEvent`/:class:`CrashEvent` stream — in trace order,
-        so verdicts and witness indices are identical to online feeding —
-        in one batch when a verdict is actually requested.  Incremental:
+        phase and crash records themselves — in trace order, so verdicts
+        and witness indices are identical to online feeding — in one
+        batch when a verdict is actually requested.  Incremental:
         repeated ``finalize`` calls replay only the new trace suffix.
         """
         if self._trace is None:
@@ -513,14 +513,8 @@ class KernelCheckAdapter(NetworkMonitor):
             if seen <= skip:
                 continue
             rtype = type(record)
-            if rtype is PhaseChange:
-                observe(
-                    PhaseEvent(
-                        record.time, record.pid, record.old_phase, record.new_phase
-                    )
-                )
-            elif rtype is Crash:
-                observe(CrashEvent(record.time, record.pid))
+            if rtype is PhaseChange or rtype is Crash:
+                observe(record)
         self._replayed = seen
 
     def _flush_observed(self) -> None:
@@ -589,7 +583,7 @@ class KernelCheckAdapter(NetworkMonitor):
 
     # Trace records ----------------------------------------------------
     def _on_crash(self, record: Crash) -> None:
-        # The CrashEvent itself is deferred to _replay_eventual; quiescence
+        # The record itself is deferred to _replay_eventual; quiescence
         # needs the crash instant *online* to recognise post-crash sends.
         self._crashing.add(record.pid)
         if self._quiescence is not None:

@@ -17,6 +17,9 @@ canonical implementations in :mod:`repro.checks.properties`
 (:class:`~repro.checks.properties.ChannelOccupancy`,
 :class:`~repro.checks.properties.QuiescenceChecker`) — how those
 quantities are counted exists exactly once, in the checks subsystem.
+A table with a check suite attached registers neither: its
+``occupancy`` and ``quiescence`` are the suite's own objects, which
+carry the same read API.
 
 Messages advertise their protocol layer through a ``layer`` attribute
 (``"dining"`` for Algorithm 1 traffic, ``"detector"`` for heartbeats);
@@ -57,21 +60,10 @@ class ChannelOccupancyMonitor(NetworkMonitor):
     layer:
         When given, only messages of that layer are counted; others are
         invisible to this monitor.
-    occupancy:
-        An existing :class:`~repro.checks.properties.ChannelOccupancy` to
-        expose instead of a fresh one.  A table with an attached check
-        suite passes the suite's instance so the monitor is a pure read
-        facade over counts the kernel adapter maintains — register the
-        monitor *or* feed the shared instance elsewhere, never both.
     """
 
-    def __init__(
-        self,
-        layer: Optional[str] = None,
-        *,
-        occupancy: Optional[ChannelOccupancy] = None,
-    ) -> None:
-        self._occupancy = occupancy if occupancy is not None else ChannelOccupancy(layer=layer)
+    def __init__(self, layer: Optional[str] = None) -> None:
+        self._occupancy = ChannelOccupancy(layer=layer)
         # Shared dict objects, so reads stay plain attribute+key lookups.
         self.current: Dict[Tuple[ProcessId, ProcessId], int] = self._occupancy.current
         self.peak: Dict[Tuple[ProcessId, ProcessId], int] = self._occupancy.peak
@@ -145,24 +137,11 @@ class QuiescenceMonitor(NetworkMonitor):
     """Records traffic addressed to crashed processes.
 
     ``crash_time_of`` maps a pid to its crash instant or ``None`` when the
-    process is correct (typically ``CrashPlan.as_dict().get``).  With
-    ``checker`` the monitor becomes a read facade over an existing
-    :class:`~repro.checks.properties.QuiescenceChecker` (the check
-    suite's) instead of counting on its own — register the monitor *or*
-    feed the shared checker elsewhere, never both.
+    process is correct (typically ``CrashPlan.as_dict().get``).
     """
 
-    def __init__(
-        self,
-        crash_time_of: Callable[[ProcessId], Optional[Instant]],
-        *,
-        checker: Optional[QuiescenceChecker] = None,
-    ) -> None:
-        self._checker = (
-            checker
-            if checker is not None
-            else QuiescenceChecker(layer=None, crash_time_of=crash_time_of)
-        )
+    def __init__(self, crash_time_of: Callable[[ProcessId], Optional[Instant]]) -> None:
+        self._checker = QuiescenceChecker(layer=None, crash_time_of=crash_time_of)
 
     @property
     def post_crash_sends(self) -> List[PostCrashSend]:

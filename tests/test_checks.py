@@ -487,6 +487,39 @@ class TestReplay:
         assert verdict.property(WX_SAFETY).status == "pass"
         assert verdict.events_observed == 5  # protocol_step carries nothing
 
+    def test_events_from_trace_returns_the_checkable_records_themselves(self):
+        from repro.checks import events_from_trace
+        from repro.trace.events import ProtocolStep, TransientFault
+        from repro.trace.recorder import TraceRecorder
+
+        trace = TraceRecorder()
+        trace.phase_change(1.0, 0, "thinking", "hungry")
+        trace.protocol_step(1.5, 0, "fire")
+        trace.doorway_change(2.0, 0, True)
+        trace.suspicion_change(2.5, 0, 1, True)
+        trace.transient_fault(2.6, 1, "flip")
+        trace.crash(3.0, 1)
+        trace.membership_change(4.0, 1, "join", 2, (0, 1))
+        events = events_from_trace(trace)
+        checkable = [
+            record for record in trace
+            if type(record) not in (ProtocolStep, TransientFault)
+        ]
+        assert len(events) == len(checkable) == 5
+        assert all(event is record for event, record in zip(events, checkable))
+
+    def test_membership_record_from_a_json_list_survives_the_round_trip(self):
+        import json
+
+        from repro.checks import MembershipEvent, load_events_lines
+        from repro.trace.events import MembershipChange
+        from repro.trace.serialize import record_to_dict
+
+        record = MembershipChange(4.0, 1, "join", 2, [0, 1])  # edges as JSON gives them
+        (loaded,) = load_events_lines([json.dumps(record_to_dict(record))])
+        assert loaded == record == MembershipEvent(4.0, 1, "join", 2, (0, 1))
+        assert hash(loaded) == hash(record)
+
     def test_unknown_kind_rejected(self, tmp_path):
         artifact = tmp_path / "bad.jsonl"
         artifact.write_text('{"kind": "mystery", "time": 0.0}\n')

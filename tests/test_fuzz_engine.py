@@ -114,6 +114,46 @@ def test_wire_log_replays_offline():
     assert verdict.property("channel-bound").status == "pass"
 
 
+def test_kernel_wire_log_carries_the_networks_own_sequence_numbers():
+    """Across rejoin fences the kernel wire log's ``seq`` values — read
+    off the network — equal an independent per-channel count (number at
+    send, retire in order at delivery or drop) and replay through the
+    FIFO checker clean."""
+    from collections import deque
+
+    from repro.checks import FifoChecker, events_from_wire
+    from repro.sim.network import NetworkMonitor
+
+    class Renumber(NetworkMonitor):
+        def __init__(self):
+            self.seqs, self._next, self._pending = [], {}, {}
+
+        def on_send(self, src, dst, message, time):
+            seq = self._next[src, dst] = self._next.get((src, dst), 0) + 1
+            self._pending.setdefault((src, dst), deque()).append(seq)
+            self.seqs.append(seq)
+
+        def on_deliver(self, src, dst, message, time):
+            self.seqs.append(self._pending[src, dst].popleft())
+
+        on_drop = on_deliver
+
+    plan = sample_plan(topology="ring", n=6, seed=0, index=9)
+    assert [spec.verb for spec in plan.membership].count("rejoin") == 3
+    reference = Renumber()
+    result = run_plan_kernel(plan, monitors=(reference,))
+    assert result.ok
+    assert any(record["kind"] == "drop" for record in result.wire)
+    assert [record["seq"] for record in result.wire] == reference.seqs
+    assert {record["bits"] for record in result.wire} == {0}
+
+    checker = FifoChecker()
+    for index, event in enumerate(events_from_wire(result.wire)):
+        assert not checker.observe(event, index)
+    verdict = checker.finalize()
+    assert verdict.status == "pass" and verdict.counters["consumed_total"] > 0
+
+
 # ----------------------------------------------------------------------
 # Mutants
 # ----------------------------------------------------------------------

@@ -165,6 +165,35 @@ def test_built_table_and_host_carry_the_attributes_the_ledger_reads():
         _resolve_on(host, dotted)
 
 
+def test_host_wire_log_fields_and_rebound_observe():
+    """The ledger reads ``kind``/``dst``/``bits`` off ``wire_events``
+    entries and times the live feed by rebinding ``host.checks.observe``
+    on the instance *after* construction (``SpanLog.patch``).  The host
+    must therefore look ``observe`` up at call time for message events
+    and lifecycle records alike — a listener that captured the bound
+    method at construction would feed the suite behind the ledger's back
+    and zero its ``checks.live_observe_*`` rows."""
+    from types import SimpleNamespace
+
+    from repro.core.messages import Ping
+    from repro.graphs import ring
+    from repro.net.host import AsyncHost
+
+    host = AsyncHost(ring(3))
+    seen = []
+    host.checks.observe = seen.append
+    host.loop = SimpleNamespace(call_soon=lambda *args: None)  # never run
+    host.transmit(0, 1, Ping(1))
+    (entry,) = host.wire_events
+    for name in ("kind", "src", "dst", "type", "layer", "seq", "time", "bits"):
+        getattr(entry, name)
+    assert (entry.kind, entry.dst, entry.type) == ("send", 1, "Ping") and entry.bits > 0
+    host.trace.phase_change(0.1, 0, "thinking", "hungry")
+    host.trace.crash(0.2, 1)
+    assert [type(event).__name__ for event in seen] == ["SendEvent", "PhaseChange", "Crash"]
+    assert seen[0] is entry
+
+
 def test_ledger_imports_and_probes_install_and_restore():
     """The ledger's own modules import, and every seam the probes rebind
     exists: ``install`` patches them all, ``restore`` puts them back."""

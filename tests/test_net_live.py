@@ -206,6 +206,47 @@ def test_kernel_and_loopback_verdicts_agree():
     }
 
 
+def test_loopback_wire_log_holds_the_observed_events_and_replays_offline(tmp_path):
+    """One record per fact: every wire-log entry of a loopback host is the
+    very object its suite observed (``observe`` rebound on the instance,
+    as the performance ledger does, still sees all of them), and the
+    artifacts ``write_outputs`` leaves replay to the host's own channel
+    judgements."""
+    from repro.checks import load_events_path, merge_events, replay
+
+    host = AsyncHost(ring(5), config=_fast_config(0.6), crash_times={2: 0.2})
+    observed = {}
+    observe = host.checks.observe
+
+    def recording(event):
+        observed[id(event)] = event  # holds the event, so ids stay unique
+        return observe(event)
+
+    host.checks.observe = recording
+    run_host(host)
+    assert host.violations == []
+    assert {"send", "deliver", "drop"} <= {event.kind for event in host.wire_events}
+    assert all(observed.get(id(event)) is event for event in host.wire_events)
+
+    host.write_outputs(str(tmp_path))
+    offline = replay(
+        sorted(ring(5).edges),
+        merge_events(
+            load_events_path(str(tmp_path / "trace.jsonl")),
+            load_events_path(str(tmp_path / "wire.jsonl")),
+        ),
+        horizon=host.verdict().horizon,
+    )
+    live = host.verdict()
+    for prop in ("channel-bound", "fifo", "pending-ping", "quiescence"):
+        assert offline.property(prop).status == live.property(prop).status == "pass"
+    assert (
+        offline.property("fifo").counters["consumed_total"]
+        == live.property("fifo").counters["consumed_total"]
+        > 0
+    )
+
+
 # ----------------------------------------------------------------------
 # Real sockets: 3 OS processes over unix sockets
 # ----------------------------------------------------------------------
@@ -370,29 +411,32 @@ def test_flight_recorder_dumps_on_fail_and_replays(tmp_path):
 # ----------------------------------------------------------------------
 # The wire path: codec seams, remote-edge traffic totals, corrupt streams
 # ----------------------------------------------------------------------
-def _unix_pair(tmp_path, duration, graph=None):
+def _unix_pair(tmp_path, duration, graph=None, membership=None, joiners=None):
     """Two in-process hosts on one ring, linked by unix sockets.
 
     Block placement: each host keeps some ring edges local and shares
     two with its peer, so one run exercises both kinds of edge.
+    ``joiners`` places the pids a ``membership`` log adds later.
     """
     import time
 
     graph = graph if graph is not None else ring(6)
     half = len(graph.nodes) // 2
     placement = {pid: int(pid >= half) for pid in graph.nodes}
+    placement.update(joiners or {})
     addresses = {index: str(tmp_path / f"host-{index}.sock") for index in range(2)}
     epoch = time.time() + 0.1
     return [
         AsyncHost(
             graph,
-            local_pids=[pid for pid in graph.nodes if placement[pid] == index],
+            local_pids=[pid for pid in placement if placement[pid] == index],
             config=_fast_config(duration),
             placement=placement,
             host_index=index,
             addresses=addresses,
             transport="unix",
             epoch=epoch,
+            membership=membership,
         )
         for index in range(2)
     ]
@@ -454,10 +498,14 @@ def test_remote_edge_traffic_totals_match_the_wire_log(tmp_path):
     """Cross-host sends, deliveries and drops are counted in the same
     ``net.messages_*_total{type,layer}`` counters as local ones: after a
     run each host's totals equal its own wire log, and a mid-run
-    snapshot (what a /metrics scrape renders) already shows them."""
+    snapshot (what a /metrics scrape renders) already shows them.  Drops
+    count whoever sent the frame: heartbeats probing a pid that has not
+    joined yet die at its host, from a remote neighbor as from a local
+    one."""
     import asyncio
     from collections import Counter
 
+    from repro.graphs.membership import MembershipDelta, MembershipLog
     from repro.obs.metrics import counter_total
 
     hosts = _unix_pair(tmp_path, 0.4)
@@ -475,7 +523,22 @@ def test_remote_edge_traffic_totals_match_the_wire_log(tmp_path):
         "deliver": "net.messages_delivered_total",
         "drop": "net.messages_dropped_total",
     }
-    for host in hosts:
+    # Pid 6 lives on host 1 beside pid 5 and across a socket from pid 0.
+    (tmp_path / "join").mkdir()
+    joining = _unix_pair(
+        tmp_path / "join",
+        0.5,
+        membership=MembershipLog([MembershipDelta(0.25, "join", 6, (0, 5))]),
+        joiners={6: 1},
+    )
+    _run_together(joining)
+    early = Counter(
+        event.src for event in joining[1].wire_events
+        if event.kind == "drop" and event.dst == 6
+    )
+    assert early[0] > 0 and early[5] > 0, "both neighbors probe the absent pid"
+
+    for host in hosts + joining:
         assert host.violations == []
         logged = Counter(
             (metric_of_kind[event.kind], event.type, event.layer)

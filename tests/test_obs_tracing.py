@@ -198,6 +198,47 @@ class TestKernelTracer:
         assert len(table.network._monitors) == baseline + 1
 
 
+    def test_kernel_tracer_and_live_host_share_the_one_lifecycle_dispatcher(self):
+        """Both substrates subscribe ``SpanAssembler.on_record`` — one
+        listener for the three lifecycle record types — so the same
+        records yield the same span names per request on each."""
+        from repro.net.host import AsyncHost
+        from repro.obs.tracing import LIFECYCLE_RECORDS
+        from repro.trace.events import Crash, DoorwayChange, PhaseChange, SuspicionChange
+
+        table = quick_table(topologies.ring(3), seed=3)
+        before = {t: len(table.trace._typed_listeners.get(t, ())) for t in LIFECYCLE_RECORDS}
+        tracer = attach_tracer(table)
+        host = AsyncHost(topologies.ring(3))
+        for record_type in LIFECYCLE_RECORDS:
+            listeners = table.trace._typed_listeners[record_type]
+            assert len(listeners) == before[record_type] + 1
+            assert listeners[-1] == tracer.assembler.on_record
+            assert host.tracer.on_record in host.trace._typed_listeners[record_type]
+
+        for record in (
+            PhaseChange(1.0, 0, "thinking", "hungry"),
+            PhaseChange(1.5, 1, "thinking", "hungry"),
+            DoorwayChange(2.0, 0, True),
+            SuspicionChange(2.5, 0, 1, True),
+            PhaseChange(3.0, 0, "hungry", "eating"),
+            Crash(3.5, 1),
+            DoorwayChange(4.0, 0, False),
+            PhaseChange(4.0, 0, "eating", "thinking"),
+            PhaseChange(4.5, 2, "thinking", "hungry"),
+        ):
+            table.trace.record(record)
+            host.trace.record(record)
+
+        def names(spans):
+            return sorted((s.trace_id, s.span_id, s.name, s.status) for s in spans)
+
+        kernel = names(tracer.assembler.finish(5.0))
+        assert kernel == names(host.tracer.finish(5.0))
+        assert {name for _, _, name, _ in kernel} == {SPAN_REQUEST, *PHASE_SPANS}
+        assert {status for _, _, _, status in kernel} == {"ok", "crashed", "open"}
+
+
 # ----------------------------------------------------------------------
 # Stitching and rendering
 # ----------------------------------------------------------------------
