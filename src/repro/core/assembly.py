@@ -15,15 +15,18 @@ differs between substrates:
 * ``retire(pid)`` — stop ``pid`` the way a crash does;
 * ``fence_edge(a, b)`` — drop what is in flight on both directions;
 * ``now`` — the seat's clock;
+* ``at(instant, fn, label)`` — run ``fn`` at ``instant`` on that clock;
 
 next to what both already carry (``wiring``, ``diners``, ``detector``,
-``workload``, ``trace``, ``checks``).  The diners know nothing of what
-drives them, and neither does this module.
+``workload``, ``trace``, ``checks``).  :func:`schedule` puts a run's
+crashes and deltas on the seat's clock through ``at``.  The diners know
+nothing of what drives them, and neither does this module.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from collections import deque
+from typing import Callable, Mapping, Optional
 
 from repro.checks.properties import PENDING_PING, QUIESCENCE
 from repro.checks.suite import CheckConfig, CheckSuite, standard_suite
@@ -195,3 +198,21 @@ def apply_delta(seat, delta: MembershipDelta) -> None:
                 if diner is not None:
                     diner.remove_neighbor(other)
     seat.trace.membership_change(seat.now, epoch, verb, pid, record_edges)
+
+
+def schedule(seat, crash_times: Mapping[ProcessId, float]) -> None:
+    """Put a run's crashes and membership deltas on ``seat``'s clock.
+
+    The one place a run's adversary schedule meets its substrate: each
+    crash retires its pid at its instant (pids in order), each delta is
+    interpreted by :func:`apply_delta` at its time.
+    """
+    for pid, instant in sorted(crash_times.items()):
+        seat.at(instant, lambda pid=pid: seat.retire(pid), f"crash {pid}")
+    # Each timer pops the *next* delta rather than binding its own, so
+    # same-instant deltas apply in log order even where the substrate's
+    # timer heap breaks the tie differently, and the epoch counter walks
+    # the timeline's snapshots in lock-step.
+    pending = deque(seat.wiring.membership)
+    for delta in seat.wiring.membership:
+        seat.at(delta.time, lambda: apply_delta(seat, pending.popleft()), "membership")

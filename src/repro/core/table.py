@@ -36,7 +36,7 @@ from repro.checks.context import active_collector
 from repro.checks.properties import CHANNEL_BOUND, QUIESCENCE
 from repro.checks.suite import CheckConfig
 from repro.checks.verdict import Verdict
-from repro.core.assembly import Wiring, apply_delta
+from repro.core.assembly import Wiring, schedule
 from repro.core.diner import DinerActor, EatCallback
 from repro.core.workload import AlwaysHungry, Workload
 from repro.detectors.base import FailureDetector, NullDetector
@@ -318,25 +318,13 @@ class DiningTable:
             if collector is not None:
                 collector.register(self.checks, lambda: self.sim.now)
 
-        self.crash_plan.apply(self.network)
         # Oracle-style detectors (scripted, perfect, adversarial) drive
         # their modules from pre-scheduled events; message-passing ones
         # (heartbeat) have no install step.
         install = getattr(self.detector, "install", None)
         if callable(install):
             install()
-
-        # Deltas fire at CONTROL priority in log order (the log is
-        # time-sorted and the kernel breaks same-instant ties by
-        # scheduling order), so the live epoch counter walks the
-        # timeline's snapshots in lock-step.
-        for delta in self.membership:
-            self.sim.schedule_at(
-                delta.time,
-                lambda d=delta: apply_delta(self, d),
-                priority=EventPriority.CONTROL,
-                label=f"membership {delta.verb} {delta.pid}",
-            )
+        schedule(self, self.crash_plan.as_dict())
 
         self._started = False
 
@@ -351,6 +339,12 @@ class DiningTable:
     @property
     def now(self) -> Instant:
         return self.sim.now
+
+    def at(self, instant: Instant, fn: Callable[[], None], label: str = "") -> None:
+        # Run events (crashes, deltas, storm sessions, hunger nudges) are
+        # CONTROL priority: they land before any same-instant delivery or
+        # timer, and same-instant ones fire in scheduling order.
+        self.sim.schedule_at(instant, fn, priority=EventPriority.CONTROL, label=label)
 
     def hosts(self, pid: ProcessId) -> bool:
         return True  # one kernel runs every diner

@@ -61,7 +61,6 @@ from repro.faults.mutants import get_mutant
 from repro.faults.plan import CrashSpec, FaultPlan
 from repro.graphs import topologies
 from repro.sim.crash import CrashPlan
-from repro.sim.events import EventPriority
 from repro.sim.monitors import message_layer
 from repro.sim.network import NetworkMonitor
 from repro.trace.events import DoorwayChange, PhaseChange
@@ -269,14 +268,8 @@ class _CrashTrigger(NetworkMonitor):
         if self.fired:
             return
         self.fired = True
-        sim = self.table.sim
-        pid = self.spec.pid
-        sim.schedule_at(
-            sim.now,
-            lambda: self.table.network.crash(pid),
-            priority=EventPriority.CONTROL,
-            label=f"fuzz-trigger-crash {pid}",
-        )
+        table, pid = self.table, self.spec.pid
+        table.at(table.now, lambda: table.retire(pid), f"fuzz-trigger-crash {pid}")
 
 
 # ----------------------------------------------------------------------
@@ -290,23 +283,19 @@ class _Storm:
     host) — no sockets, the in-process analogue of a ``LockService``
     client fleet.  Each grant either abandons (the killed-connection
     client: only the TTL reclaims its lease) or releases after the
-    plan's hold time.  The storm knows nothing of what drives it: the
-    substrate supplies ``now()``, ``at(delay, fn)`` and ``soon(fn)``,
-    and every plan duration is multiplied by ``time_scale`` on the way
-    to them.
+    plan's hold time.  The storm knows nothing of what drives it: every
+    session event goes through the seat's ``now`` and ``at``, and every
+    plan duration is multiplied by ``time_scale`` on the way to them.
     """
 
-    def __init__(self, seat, plan: FaultPlan, *, now, at, soon, time_scale: float = 1.0) -> None:
-        from repro.locks.service import LeaseWorkload, LockCore, default_resources
+    def __init__(self, seat, plan: FaultPlan, *, time_scale: float = 1.0) -> None:
+        from repro.locks.service import LockCore, default_resources
         from repro.sim.rng import RandomStreams
 
         self.spec = plan.storm
+        self._seat = seat
         self._scale = time_scale
-        self._at = at
-        self.core = LockCore(default_resources(seat.graph), seat.diners, clock=now, defer=soon)
-        self.core.attach(seat.trace)
-        if isinstance(seat.workload, LeaseWorkload):
-            seat.workload.bind(self.core)
+        self.core = LockCore.on_seat(seat, default_resources(seat.graph))
         self._rng = RandomStreams(plan.seed).stream("fuzz/client-storm")
         self._names = sorted(self.core.resources)
         self._ttl_ms = max(1, int(round(self.spec.ttl * time_scale * 1000.0)))
@@ -322,7 +311,7 @@ class _Storm:
         while remaining:
             count = min(spec.burst, remaining)
             ids = list(range(session, session + count))
-            self._at(when * self._scale, lambda ids=ids: self._burst(ids))
+            self._seat.at(when * self._scale, lambda ids=ids: self._burst(ids), "storm")
             session += count
             remaining -= count
             when += spec.interval
@@ -346,7 +335,12 @@ class _Storm:
             self.core.abandon(session)
             return
         lease_id = message.lease_id
-        self._at(self.spec.hold * self._scale, lambda: self.core.release(session, lease_id))
+        seat = self._seat
+        seat.at(
+            seat.now + self.spec.hold * self._scale,
+            lambda: self.core.release(session, lease_id),
+            "storm",
+        )
 
 
 def _fold_leaked(verdict: Verdict, core, now: float) -> Verdict:
@@ -567,13 +561,7 @@ def run_plan_kernel(
             _CrashTrigger(table, spec).arm()
     storm = None
     if plan.storm.active:
-        sim = table.sim
-
-        def at(delay: float, fn) -> None:
-            # Bursts, releases and hunger nudges are CONTROL events.
-            sim.schedule_at(sim.now + delay, fn, priority=EventPriority.CONTROL, label="storm")
-
-        storm = _Storm(table, plan, now=lambda: sim.now, at=at, soon=lambda fn: at(0.0, fn))
+        storm = _Storm(table, plan)
         storm.arm()
 
     stopped_early = False
@@ -676,17 +664,8 @@ def run_plan_live(
     )
     storm = None
     if plan.storm.active:
-        # The storm shares the host's loop; its callables are only ever
-        # called from inside it.
-        loop = asyncio.get_running_loop
-        storm = _Storm(
-            host,
-            plan,
-            now=lambda: host.now,
-            at=lambda delay, fn: loop().call_later(delay, host.guarded(fn, "storm")),
-            soon=lambda fn: loop().call_soon(host.guarded(fn, "storm-defer")),
-            time_scale=time_scale,
-        )
+        # The storm shares the host's loop: it arms from inside it.
+        storm = _Storm(host, plan, time_scale=time_scale)
 
         async def main() -> None:
             storm.arm()

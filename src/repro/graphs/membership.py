@@ -99,7 +99,7 @@ class MembershipDelta:
             time=float(data["time"]),
             verb=str(data["verb"]),
             pid=int(data["pid"]),
-            edges=tuple(int(e) for e in data.get("edges", ())),
+            edges=tuple(int(e) for e in data.get("edges") or ()),
             peer=int(data["peer"]) if data.get("peer") is not None else None,
         )
 

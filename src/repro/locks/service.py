@@ -228,6 +228,24 @@ class LockCore:
     # ------------------------------------------------------------------
     # Wiring
     # ------------------------------------------------------------------
+    @classmethod
+    def on_seat(cls, seat, resources: Mapping[str, int], **kwargs) -> "LockCore":
+        """A core riding a table's or host's diners (see
+        :mod:`repro.core.assembly`): the seat's clock, hunger nudges
+        through its ``at``, the diner lifecycle from its trace, and a
+        :class:`LeaseWorkload` bound to the core."""
+        core = cls(
+            resources,
+            seat.diners,
+            clock=lambda: seat.now,
+            defer=lambda fn: seat.at(seat.now, fn, "locks-defer"),
+            **kwargs,
+        )
+        core.attach(seat.trace)
+        if isinstance(seat.workload, LeaseWorkload):
+            seat.workload.bind(core)
+        return core
+
     def attach(self, trace) -> None:
         """Subscribe to the diners' lifecycle on ``trace`` (a recorder)."""
         from repro.trace.events import Crash, PhaseChange
@@ -503,27 +521,17 @@ class LockService:
                 host.graph, host.placement, host.host_index
             )
 
-        def defer(fn: Callable[[], None]) -> None:
-            # host.loop exists by the time any defer fires (run() sets it
-            # before the first client connection is accepted).
-            host.loop.call_soon(host.guarded(fn, "locks-defer"))
-
         def step(fn: Callable[[], None]) -> None:
             host.guarded(fn, "locks-step")()
 
-        core = LockCore(
+        core = LockCore.on_seat(
+            host,
             resources,
-            host.diners,
-            clock=lambda: host.now,
-            defer=defer,
             step=step,
             registry=host.registry,
             max_waiters=max_waiters,
             max_ttl_ms=max_ttl_ms,
         )
-        core.attach(host.trace)
-        if isinstance(host.workload, LeaseWorkload):
-            host.workload.bind(core)
         service = cls(host, core)
         host.lock_service = service
         return service

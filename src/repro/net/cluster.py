@@ -52,11 +52,12 @@ from repro.checks import (
     annotate_violations,
     load_events_path,
     merge_events,
-    standard_suite,
 )
+from repro.core.assembly import Wiring
 from repro.errors import ConfigurationError
 from repro.graphs import topologies
 from repro.graphs.conflict import ConflictGraph
+from repro.graphs.membership import MembershipLog
 from repro.net.host import AsyncHost, HostConfig, run_host
 from repro.obs.metrics import MetricsRegistry, gauge_max, merge_snapshots
 from repro.obs.report import render_prometheus
@@ -143,36 +144,10 @@ class ClusterSpec:
     def graph(self) -> ConflictGraph:
         return topologies.by_name(self.topology, self.n, seed=self.seed)
 
-    def membership_log(self):
-        """The spec's deltas as a :class:`MembershipLog` (None if static)."""
-        if not self.membership:
-            return None
-        from repro.graphs.membership import MembershipDelta, MembershipLog
-
-        return MembershipLog(
-            MembershipDelta(
-                time=float(delta["time"]),
-                verb=str(delta["verb"]),
-                pid=int(delta["pid"]),
-                edges=tuple(int(e) for e in (delta.get("edges") or ())),
-                peer=int(delta["peer"]) if delta.get("peer") is not None else None,
-            )
-            for delta in self.membership
-        )
-
-    def timeline(self):
-        """The epoched view timeline (None if static)."""
-        log = self.membership_log()
-        if log is None:
-            return None
-        from repro.graphs.membership import TopologyTimeline
-
-        return TopologyTimeline(self.graph(), log)
-
-    def union_graph(self) -> ConflictGraph:
-        """Every node and edge that ever exists during the run."""
-        timeline = self.timeline()
-        return self.graph() if timeline is None else timeline.union()
+    def wiring(self) -> Wiring:
+        """The run's graph, membership log, union and residents, derived
+        the way every host derives them (:class:`repro.core.assembly.Wiring`)."""
+        return Wiring(self.graph(), MembershipLog.from_json(self.membership))
 
     def host_config(self, host_index: Optional[int] = None) -> HostConfig:
         config = HostConfig(
@@ -205,7 +180,7 @@ class ClusterSpec:
         host's ``/metrics`` scrape — and only the block boundaries pay a
         socket hop.
         """
-        nodes = self.union_graph().nodes
+        nodes = self.wiring().union.nodes
         return {
             pid: index * self.processes // len(nodes)
             for index, pid in enumerate(nodes)
@@ -323,22 +298,14 @@ class ClusterVerdict:
 # ----------------------------------------------------------------------
 def build_host(spec: ClusterSpec, host_index: int) -> AsyncHost:
     """Rebuild one host (its diners, links, detector) from a launched spec."""
-    graph = spec.graph()
-    membership = spec.membership_log()
     placement = spec.placement or spec.default_placement()
-    local_pids = [
-        pid for pid in spec.union_graph().nodes if placement[pid] == host_index
-    ]
-    if not local_pids:
-        raise ConfigurationError(f"host {host_index} owns no diners")
     workload = None
     if spec.serve_locks:
         from repro.locks.service import LeaseWorkload
 
         workload = LeaseWorkload()
     host = AsyncHost(
-        graph,
-        local_pids=local_pids,
+        spec.graph(),
         config=spec.host_config(host_index),
         placement=placement,
         host_index=host_index,
@@ -349,7 +316,7 @@ def build_host(spec: ClusterSpec, host_index: int) -> AsyncHost:
         epoch=spec.epoch,
         crash_times=spec.crash_times,
         workload=workload,
-        membership=membership,
+        membership=MembershipLog.from_json(spec.membership),
         run=f"host{host_index}",
     )
     if spec.serve_locks:
@@ -508,27 +475,25 @@ def check_config_for(spec: ClusterSpec) -> CheckConfig:
     times, so a diner flagged starving is genuinely blocked, not slow.
     """
     crashed = set(spec.crash_times)
-    timeline = spec.timeline()
+    wiring = spec.wiring()
     settle = spec.initial_timeout + spec.timeout_increment + spec.eat_time
-    if timeline is not None:
+    if wiring.dynamic:
         # Churn re-arms the clock: nothing settles before the last delta
         # lands and the detector absorbs it.
-        log = spec.membership_log()
-        settle = max(settle, log.last_time() + spec.initial_timeout + spec.eat_time)
-    nodes = spec.graph().nodes if timeline is None else timeline.final().graph.nodes
+        last = wiring.membership.last_time()
+        settle = max(settle, last + spec.initial_timeout + spec.eat_time)
     return CheckConfig(
         channel_bound=spec.channel_bound,
         settle=min(spec.duration, settle),
         patience=max(0.4 * spec.duration, 20 * spec.eat_time),
-        correct=tuple(pid for pid in nodes if pid not in crashed),
+        correct=tuple(pid for pid in wiring.residents if pid not in crashed),
         crash_time_of=spec.crash_times.get,
     )
 
 
 def merge_run(spec: ClusterSpec) -> ClusterVerdict:
     """Combine per-host outputs into the system-wide verdict."""
-    timeline = spec.timeline()
-    union = spec.union_graph()
+    wiring = spec.wiring()
     host_dirs = [spec.host_dir(index) for index in range(spec.processes)]
 
     results: List[Dict[str, object]] = []
@@ -550,12 +515,7 @@ def merge_run(spec: ClusterSpec) -> ClusterVerdict:
     # One suite, the same one every substrate runs, over the merged
     # stream — the authoritative judgement for cross-host edges no
     # single host can see.
-    suite = standard_suite(
-        sorted(union.edges),
-        check_config_for(spec),
-        dynamic=timeline is not None,
-        membership=timeline,
-    )
+    suite = wiring.build_suite(sorted(wiring.union.edges), check_config_for(spec), {}, None)
     suite.feed(_load_merged_events(host_dirs))
     checks = suite.finalize(spec.duration)
 

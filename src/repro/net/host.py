@@ -16,7 +16,7 @@ kernel provided under virtual time is re-realised under wall-clock time:
   ``heartbeat_interval`` seconds, adaptive per-neighbor deadlines.
 * **Crash injection** — a scheduled :meth:`~repro.core.substrate.Actor.crash`
   freezes the actor (no more steps, deliveries dropped); once *every*
-  local actor is crashed the host severs its connections, which is what a
+  local pid is down the host severs its connections, which is what a
   process crash looks like from the rest of the cluster.
 * **Live checking** — the same :func:`repro.checks.standard_suite` the
   simulator kernel runs, fed online from this host's vantage point:
@@ -43,7 +43,7 @@ import json
 import os
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 from repro.checks import (
     CheckConfig,
@@ -56,7 +56,7 @@ from repro.checks import (
     annotate_violations,
     wire_to_dict,
 )
-from repro.core.assembly import Wiring, apply_delta
+from repro.core.assembly import Wiring, schedule
 from repro.core.diner import DinerActor
 from repro.core.substrate import ProcessId
 from repro.core.workload import AlwaysHungry, Workload
@@ -64,7 +64,7 @@ from repro.detectors.heartbeat import HeartbeatDetector
 from repro.errors import ConfigurationError
 from repro.graphs.coloring import Coloring
 from repro.graphs.conflict import ConflictGraph
-from repro.graphs.membership import MembershipDelta, MembershipLog
+from repro.graphs.membership import MembershipLog
 from repro.locks.messages import LeaseDenied
 from repro.net.codec import (
     FrameDecoder,
@@ -138,11 +138,10 @@ class AsyncHost:
     ----------
     graph:
         The full conflict graph (every host knows the whole topology).
-    local_pids:
-        The processes this host runs; default all of them (single-host
-        loopback mode).
     placement:
-        pid -> host index, for routing.  Defaults to everything local.
+        pid -> host index, for routing; this host runs the pids placed
+        on ``host_index`` (``local_pids``, later joiners included).
+        Defaults to everything local (single-host loopback mode).
     host_index, addresses, transport:
         This host's identity, the host-index -> address map, and the link
         kind: ``loopback`` (in-process only), ``unix`` (address is a
@@ -178,7 +177,6 @@ class AsyncHost:
         self,
         graph: ConflictGraph,
         *,
-        local_pids: Optional[Sequence[ProcessId]] = None,
         config: Optional[HostConfig] = None,
         placement: Optional[Mapping[ProcessId, int]] = None,
         host_index: int = 0,
@@ -215,7 +213,6 @@ class AsyncHost:
         self.timeline = wiring.timeline
         self.union_graph = union = wiring.union
         self.coloring = wiring.coloring
-        self._pending_membership: List[MembershipDelta] = list(self.membership)
         if wiring.dynamic and transport != "loopback":
             # rejoin and edge churn rely on this host's authoritative
             # per-channel sequence counters to fence stale traffic; on a
@@ -227,12 +224,6 @@ class AsyncHost:
                         "transport (single-host run)"
                     )
 
-        pids = tuple(local_pids) if local_pids is not None else union.nodes
-        for pid in pids:
-            if pid not in union:
-                raise ConfigurationError(f"local pid {pid} is not in the conflict graph")
-        self.local_pids: Tuple[ProcessId, ...] = tuple(sorted(pids))
-
         self._placement: Dict[ProcessId, int] = (
             dict(placement)
             if placement is not None
@@ -241,6 +232,11 @@ class AsyncHost:
         for pid in union.nodes:
             if pid not in self._placement:
                 raise ConfigurationError(f"placement does not cover process {pid}")
+        self.local_pids: Tuple[ProcessId, ...] = tuple(
+            pid for pid in union.nodes if self._placement[pid] == self.host_index
+        )
+        if not self.local_pids:
+            raise ConfigurationError(f"host {self.host_index} owns no diners")
         if transport == "loopback":
             remote = [p for p in union.nodes if self._placement[p] != self.host_index]
             if remote:
@@ -394,6 +390,19 @@ class AsyncHost:
     def placement(self) -> Dict[ProcessId, int]:
         """The pid -> host-index routing map (read-only by convention)."""
         return self._placement
+
+    def at(self, instant: float, fn, label: str = "") -> None:
+        """Run ``fn`` (guarded) at host time ``instant`` on the running loop.
+
+        A due instant goes on the ready queue, not the timer heap, so it
+        keeps its turn among the loop's other ``call_soon`` work.
+        """
+        loop = asyncio.get_running_loop()
+        delay = instant - self.now
+        if delay > 0:
+            loop.call_later(delay, self.guarded(fn, label))
+        else:
+            loop.call_soon(self.guarded(fn, label))
 
     def guarded(self, callback, label: str = "", pid: Optional[ProcessId] = None):
         """Wrap an actor callback: capture exceptions, then run checkers.
@@ -768,32 +777,13 @@ class AsyncHost:
 
         for pid, actor in sorted(self.diners.items()):
             self.guarded(actor.on_start, label=f"start@{pid}", pid=pid)()
-        for pid, instant in sorted(self._crash_times.items()):
-            self.loop.call_later(max(0.0, instant - self.now), self._inject_crash, pid)
-        for delta in self.membership:
-            # Each timer pops the next delta in log order, so same-instant
-            # deltas apply in log order even if the loop's timer heap
-            # breaks the tie differently.
-            self.loop.call_later(max(0.0, delta.time - self.now), self._next_delta)
+        schedule(self, self._crash_times)
 
         remaining = self._epoch + self.config.duration - time.time()
         if remaining > 0:
             await asyncio.sleep(remaining)
         await self._shutdown()
         return self
-
-    def _inject_crash(self, pid: ProcessId) -> None:
-        if self._finished:
-            return
-        actor = self.diners.get(pid)
-        if actor is None or actor.crashed:
-            return
-        try:
-            actor.crash()
-        except Exception as exc:  # noqa: BLE001 - every actor fault is a finding
-            self._record_violation(f"crash@{pid}: {exc}")
-        if all(a.crashed for a in self.diners.values()):
-            self._kill_connections()
 
     # ------------------------------------------------------------------
     # Dynamic membership: the seat repro.core.assembly.apply_delta acts on
@@ -817,9 +807,15 @@ class AsyncHost:
         self.guarded(start, label=label, pid=pid)()
 
     def retire(self, pid: ProcessId) -> None:
-        # The actor freezes, deliveries drop, and once every local actor
-        # is down the host severs its connections.
-        self._inject_crash(pid)
+        actor = self.diners.get(pid)
+        if actor is None or actor.crashed:
+            return
+        actor.crash()  # the actor freezes; its deliveries drop
+        # The host severs its connections only once every local pid is
+        # down — a pid that joins later is not hosted yet, and its
+        # cross-host neighbors still need the sockets to reach it.
+        if all(p in self.diners and self.diners[p].crashed for p in self.local_pids):
+            self._kill_connections()
 
     def fence_edge(self, a: ProcessId, b: ProcessId) -> None:
         self._fence(((a, b), (b, a)))
@@ -830,17 +826,6 @@ class AsyncHost:
             seq = self._next_seq.get(key)
             if seq:
                 self._fences[key] = seq
-
-    def _next_delta(self) -> None:
-        """Execute the next membership delta (timers fire in log order)."""
-        if self._finished or not self._pending_membership:
-            return
-        delta = self._pending_membership.pop(0)
-        try:
-            apply_delta(self, delta)
-        except Exception as exc:  # noqa: BLE001 - every membership fault is a finding
-            self._record_violation(f"membership {delta.verb}@{delta.pid}: {exc}")
-        self._after_step(None)
 
     async def _shutdown(self) -> None:
         if self.lock_service is not None:

@@ -3,8 +3,9 @@
 The paper's fault model: a crash fault makes a process cease execution
 without warning and never recover, and *arbitrarily many* processes may
 crash.  A :class:`CrashPlan` is an immutable description of which processes
-crash and when; it is applied to a network before the run starts so the
-whole run (including its faults) replays from the seed.
+crash and when; a table puts it on the run's clock before the run starts
+(:func:`repro.core.assembly.schedule`), so the whole run (including its
+faults) replays from the seed.
 
 Two constructors cover the experiments:
 
@@ -21,7 +22,6 @@ from typing import Dict, Iterable, Mapping, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 from repro.sim.actor import ProcessId
-from repro.sim.network import Network
 from repro.sim.rng import RandomStreams
 from repro.timebase import Instant, validate_instant
 
@@ -101,11 +101,3 @@ class CrashPlan:
     def last_crash_time(self) -> Instant:
         """Time of the final crash, or 0.0 for the failure-free plan."""
         return max((t for _, t in self.crashes), default=0.0)
-
-    # ------------------------------------------------------------------
-    # Application
-    # ------------------------------------------------------------------
-    def apply(self, network: Network) -> None:
-        """Schedule every crash on ``network`` (CONTROL priority)."""
-        for pid, time in self.crashes:
-            network.crash_at(pid, time)

@@ -15,7 +15,7 @@ import pytest
 
 from repro.checks import CheckSuite
 from repro.checks.properties import QUIESCENCE, PendingPingChecker
-from repro.core.assembly import Wiring, apply_delta
+from repro.core.assembly import Wiring, apply_delta, schedule
 from repro.core.diner import DinerActor
 from repro.graphs import ring
 from repro.graphs.membership import MembershipDelta, MembershipLog
@@ -59,11 +59,12 @@ class _Peer:
 class _Seat:
     """Records what the interpreter asks of a substrate, in order."""
 
-    def __init__(self, *, hosting=True, checks=None):
+    def __init__(self, *, hosting=True, checks=None, log=CHURN):
         graph = ring(6)
         self.calls = []
         self.history = []
-        self.wiring = Wiring(graph, MembershipLog(CHURN))
+        self.timers = []
+        self.wiring = Wiring(graph, MembershipLog(log))
         self.diners = {
             pid: _Peer(pid, graph.neighbors(pid), self.calls) for pid in graph.nodes
         }
@@ -91,6 +92,9 @@ class _Seat:
 
     def fence_edge(self, a, b):
         self.calls.append(("fence_edge", a, b))
+
+    def at(self, instant, fn, label=""):
+        self.timers.append((instant, fn))
 
     def apply(self, count):
         """Apply the first ``count`` deltas; return the calls of the last."""
@@ -210,3 +214,30 @@ def test_rejoin_tells_a_rebirth_aware_quiescence_checker():
     quiescence = Quiescence()
     _Seat(checks=CheckSuite([quiescence])).apply(len(CHURN))
     assert quiescence.reborn == [(2, 3.0)]
+
+
+def test_schedule_applies_same_instant_deltas_in_log_order_and_crashes_per_pid():
+    """A substrate whose timer heap fires same-instant timers in reverse
+    registration order still applies the deltas in log order, and every
+    crash retires its own pid at its own instant."""
+    log = (
+        MembershipDelta(time=1.0, verb="join", pid=6, edges=(0, 5)),
+        MembershipDelta(time=1.0, verb="leave", pid=2),
+        MembershipDelta(time=2.0, verb="add_edge", pid=1, peer=4),
+    )
+    seat = _Seat(log=log)
+    schedule(seat, {4: 1.5, 3: 1.0})
+    retired = []
+    seat.retire = lambda pid: retired.append((pid, seat.now))
+    # Earlier instants first; within an instant, the last registered first.
+    fire = sorted(enumerate(seat.timers), key=lambda item: (item[1][0], -item[0]))
+    for _, (instant, fn) in fire:
+        seat.now = instant
+        fn()
+    records = [call[1:] for call in seat.calls if call[0] == "record"]
+    assert records == [
+        (1.0, 1, "join", 6, (0, 5)),
+        (1.0, 2, "leave", 2, ()),
+        (2.0, 3, "add_edge", 1, (4,)),
+    ]
+    assert sorted(retired) == [(2, 1.0), (3, 1.0), (4, 1.5)]  # 2 by its leave

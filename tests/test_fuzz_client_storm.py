@@ -8,6 +8,8 @@ service path on top of the standard suite via the synthetic
 the run).
 """
 
+import heapq
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -103,30 +105,33 @@ class _GrantingCore:
         self.outcome[session] = self._clock()
 
 
+class _FakeSeat:
+    """A table's diners, trace and workload on a bare timer heap."""
+
+    def __init__(self, plan):
+        table = build_table(plan)
+        self.graph = table.graph
+        self.diners = table.diners
+        self.trace = table.trace
+        self.workload = table.workload
+        self.now = 0.0
+        self.timers = []
+
+    def at(self, instant, fn, label=""):
+        heapq.heappush(self.timers, (instant, len(self.timers), fn))
+
+
 def _drive_storm_on_a_fake_clock(plan, time_scale):
     """Run the storm driver on a bare timer heap; returns the core's log."""
-    import heapq
-
-    clock = [0.0]
-    timers = []
-
-    def at(delay, fn):
-        heapq.heappush(timers, (clock[0] + delay, len(timers), fn))
-
-    storm = _Storm(
-        build_table(plan),
-        plan,
-        now=lambda: clock[0],
-        at=at,
-        soon=lambda fn: at(0.0, fn),
-        time_scale=time_scale,
-    )
-    core = storm.core = _GrantingCore(lambda: clock[0])
+    seat = _FakeSeat(plan)
+    timers = seat.timers
+    storm = _Storm(seat, plan, time_scale=time_scale)
+    core = storm.core = _GrantingCore(lambda: seat.now)
     storm.arm()
     # The kernel's scheduling order: every burst is on the heap at arm().
     assert len(timers) == -(-plan.storm.sessions // plan.storm.burst)
     while timers:
-        clock[0], _, fn = heapq.heappop(timers)
+        seat.now, _, fn = heapq.heappop(timers)
         fn()
     return core
 
@@ -151,7 +156,7 @@ def test_storm_driver_issues_bursts_at_the_spec_interval_on_a_fake_clock():
 
 def test_storm_draws_do_not_depend_on_what_drives_the_storm():
     """Same seed, same (session -> resource, abandon?) sequence whether
-    the callables are the kernel's, a scaled wall clock's, or a fake."""
+    the seat is the kernel's, a scaled wall clock's, or a fake."""
     plan = _storm_plan()
 
     def draws(core):

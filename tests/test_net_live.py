@@ -65,7 +65,7 @@ def test_loopback_crash_injection_keeps_neighbors_eating():
 
 def test_loopback_rejects_remote_placement():
     with pytest.raises(Exception):
-        AsyncHost(ring(3), local_pids=[0], placement={0: 0, 1: 1, 2: 1})
+        AsyncHost(ring(3), placement={0: 0, 1: 1, 2: 1})
 
 
 # ----------------------------------------------------------------------
@@ -411,12 +411,15 @@ def test_flight_recorder_dumps_on_fail_and_replays(tmp_path):
 # ----------------------------------------------------------------------
 # The wire path: codec seams, remote-edge traffic totals, corrupt streams
 # ----------------------------------------------------------------------
-def _unix_pair(tmp_path, duration, graph=None, membership=None, joiners=None):
+def _unix_pair(
+    tmp_path, duration, graph=None, membership=None, joiners=None, crash_times=None
+):
     """Two in-process hosts on one ring, linked by unix sockets.
 
     Block placement: each host keeps some ring edges local and shares
     two with its peer, so one run exercises both kinds of edge.
-    ``joiners`` places the pids a ``membership`` log adds later.
+    ``joiners`` places the pids a ``membership`` log adds later;
+    ``crash_times`` reaches both hosts (each keeps its own pids').
     """
     import time
 
@@ -429,13 +432,13 @@ def _unix_pair(tmp_path, duration, graph=None, membership=None, joiners=None):
     return [
         AsyncHost(
             graph,
-            local_pids=[pid for pid in placement if placement[pid] == index],
             config=_fast_config(duration),
             placement=placement,
             host_index=index,
             addresses=addresses,
             transport="unix",
             epoch=epoch,
+            crash_times=crash_times,
             membership=membership,
         )
         for index in range(2)
@@ -557,6 +560,33 @@ def test_remote_edge_traffic_totals_match_the_wire_log(tmp_path):
         assert remote, "block placement must leave cross-host edges"
 
 
+def test_a_host_keeps_its_sockets_while_a_local_join_is_pending(tmp_path):
+    """Every resident of host 1 crashes before pid 6 joins there: the host
+    must not sever its links, or pid 0 across the socket never reaches
+    the joiner — pid 6 would suspect pid 0 for good and the two would
+    eat together unseen by either host's checks."""
+    from repro.graphs.membership import MembershipDelta, MembershipLog
+
+    hosts = _unix_pair(
+        tmp_path,
+        1.0,
+        membership=MembershipLog([MembershipDelta(0.25, "join", 6, (0, 5))]),
+        joiners={6: 1},
+        crash_times={3: 0.1, 4: 0.1, 5: 0.1},
+    )
+    _run_together(hosts)
+    delivered = [
+        event for event in hosts[1].wire_events
+        if event.kind == "deliver" and (event.src, event.dst) == (0, 6)
+    ]
+    assert delivered and min(event.time for event in delivered) >= 0.25
+    dropped = [
+        event for event in hosts[0].wire_events
+        if event.kind == "drop" and event.dst == 6
+    ]
+    assert dropped == []
+
+
 def test_corrupt_inbound_stream_delivers_then_closes(tmp_path):
     """Garbage after a valid frame, in one write: the valid frame is
     delivered, exactly one finding is recorded, the host closes the
@@ -571,7 +601,6 @@ def test_corrupt_inbound_stream_delivers_then_closes(tmp_path):
     addresses = {index: str(tmp_path / f"host-{index}.sock") for index in range(2)}
     host = AsyncHost(
         ring(3),
-        local_pids=[0],
         config=_fast_config(1.0),
         placement=placement,
         host_index=0,
