@@ -305,9 +305,7 @@ class DiningTable:
         # ambient ``repro.obs.collecting`` block when one is active.
         self.metrics = registry
         self.instrumentation = (
-            instrument_table(self, registry, bound=channel_bound)
-            if registry is not None
-            else None
+            instrument_table(self, registry) if registry is not None else None
         )
 
         if self.checks is not None:

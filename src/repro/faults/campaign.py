@@ -33,11 +33,13 @@ from dataclasses import dataclass, field
 from functools import cached_property, partial
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
+from repro.checks.context import active_collector
 from repro.errors import ConfigurationError, SimulationError
 from repro.faults.engine import FaultRunResult, run_plan
 from repro.faults.mutants import Mutant, all_mutants, get_mutant
 from repro.faults.plan import FaultPlan
 from repro.faults.sampler import ARCHETYPES, sample_plan
+from repro.obs.context import active_registry
 from repro.pool import ordered_map, plan_workers
 
 #: When a mutant only bites on the post-crash path (``needs_crash``),
@@ -268,7 +270,10 @@ def run_campaign(spec: CampaignSpec, *, jobs: Optional[int] = None) -> CampaignR
     this process may use, 1 forces the in-process loop.  Only
     ``substrate="kernel"`` fans out — live plans are wall-clock asyncio
     runs that would perturb each other — and only when the pool can win
-    (:func:`repro.pool.plan_workers`).  ``results`` is the contiguous
+    (:func:`repro.pool.plan_workers`).  An ambient metrics registry or
+    check collector (``repro report``) also keeps the walk in-process: a
+    forked worker's copy of either is thrown away with the worker, and
+    the report would judge nothing.  ``results`` is the contiguous
     prefix ``0..k`` of the walk in index order for every job count:
     ``stop_on_failure`` truncates after the first failing *index* and
     drops whatever was judged speculatively past it.
@@ -276,11 +281,16 @@ def run_campaign(spec: CampaignSpec, *, jobs: Optional[int] = None) -> CampaignR
     if spec.runs < 1:
         raise ConfigurationError(f"campaign needs at least 1 run, got {spec.runs}")
     kernel = spec.substrate == "kernel"
+    observed = active_registry() is not None or active_collector() is not None
     start = time.monotonic()
     cpu_start = _cpu_seconds()
     out = CampaignResult(
         spec=spec,
-        jobs=plan_workers(jobs, spec.runs, min_items=POOL_MIN_RUNS) if kernel else 1,
+        jobs=(
+            plan_workers(jobs, spec.runs, min_items=POOL_MIN_RUNS)
+            if kernel and not observed
+            else 1
+        ),
     )
 
     def plans() -> Iterator[FaultPlan]:

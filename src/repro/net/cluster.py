@@ -59,6 +59,7 @@ from repro.graphs import topologies
 from repro.graphs.conflict import ConflictGraph
 from repro.graphs.membership import MembershipLog
 from repro.net.host import AsyncHost, HostConfig, run_host
+from repro.obs.instrument import render_in_transit
 from repro.obs.metrics import MetricsRegistry, gauge_max, merge_snapshots
 from repro.obs.report import render_prometheus
 from repro.obs.tracing import completed_meals, dump_spans, load_spans, stitch_spans
@@ -257,13 +258,6 @@ class ClusterVerdict:
     @property
     def max_in_transit(self) -> int:
         return self._counter(CHANNEL_BOUND, "max_in_transit")
-
-    @property
-    def edge_peaks(self) -> Dict[str, int]:
-        verdict = self.checks.properties.get(CHANNEL_BOUND)
-        if verdict is None:
-            return {}
-        return dict(verdict.details.get("edge_peaks", {}))
 
     def describe(self) -> str:
         lines = [
@@ -544,14 +538,10 @@ def merge_run(spec: ClusterSpec) -> ClusterVerdict:
 
     # The authoritative per-edge gauge comes from the merged staircase —
     # cross-host edges are invisible to any single host's registry.
-    occupancy = suite.checker(CHANNEL_BOUND).occupancy
     cluster_registry = MetricsRegistry(profile=False)
-    for (a, b), peak in sorted(occupancy.peak.items()):
-        gauge = cluster_registry.gauge(
-            "net.in_transit", edge=f"{a}-{b}", layer="dining", run="cluster"
-        )
-        gauge.set(peak, occupancy.peak_time.get((a, b), 0.0))
-        gauge.set(occupancy.current.get((a, b), 0))
+    render_in_transit(
+        cluster_registry, suite.checker(CHANNEL_BOUND).occupancy, "cluster"
+    )
     merged_metrics = merge_snapshots([*snapshots, cluster_registry.snapshot()])
 
     # Aggregate the per-host lease-service books (``--serve-locks`` runs).

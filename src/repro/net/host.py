@@ -46,6 +46,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 from repro.checks import (
+    CHANNEL_BOUND,
     CheckConfig,
     DeliverEvent,
     DropEvent,
@@ -80,6 +81,7 @@ from repro.obs.instrument import (
     SENT,
     NetworkInstrument,
     TraceInstrument,
+    render_in_transit,
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import (
@@ -265,10 +267,9 @@ class AsyncHost:
         self.trace = TraceRecorder()
 
         self.registry = registry if registry is not None else MetricsRegistry(profile=False)
-        self._net_probe = NetworkInstrument(
-            self.registry, run=run, bound=self.config.channel_bound
-        )
-        self._trace_probe = TraceInstrument(self.registry, union, self)
+        self._run = run
+        self._net_probe = NetworkInstrument(self.registry)
+        self._trace_probe = TraceInstrument(self.registry, self)
         self._trace_probe.attach(self.trace)
         self.registry.add_finalizer(self._flush_probes)
 
@@ -290,7 +291,7 @@ class AsyncHost:
         self._fences: Dict[Tuple[ProcessId, ProcessId], int] = {}
 
         local = set(self.local_pids)
-        self._local_edges = tuple(
+        inside = tuple(
             edge for edge in sorted(union.edges) if edge[0] in local and edge[1] in local
         )
 
@@ -305,7 +306,7 @@ class AsyncHost:
         # from the receiving side.  Violations are collected, never
         # raised — a live run always completes and reports what it saw.
         self.checks = wiring.build_suite(
-            self._local_edges,
+            inside,
             CheckConfig(
                 channel_bound=self.config.channel_bound,
                 correct=tuple(
@@ -327,7 +328,7 @@ class AsyncHost:
             pid: ProbeEvent(
                 0.0,
                 self.diners,
-                edges=tuple(e for e in self._local_edges if pid in e),
+                edges=tuple(e for e in inside if pid in e),
                 pairs=((pid, None),),
             )
             for pid in self.local_pids
@@ -442,14 +443,15 @@ class AsyncHost:
         context = None if self.tracer is None else self.tracer.send(now, src)
         name = type(message).__name__
         layer = message_layer(message)
+        cells = self._net_probe.type_cells(message)
+        cells[SENT] += 1
         peer = self._placement[dst]
         if peer == self.host_index:
             bits = 8 * frame_wire_bytes(src, dst, seq, message, context)
             event = SendEvent(now, src, dst, name, layer, seq, bits)
             self._wire(event)
-            # Local edge: both endpoints observable, so the live per-edge
-            # gauge and the Section 7 bound checker are exact here.
-            self._net_probe.on_send(src, dst, message, now)
+            # Local edge: both endpoints observable, so the Section 7
+            # bound checker (and the gauge rendered from it) is exact here.
             self.checks.observe(event)
             if self._inject_latency is None:
                 self.loop.call_soon(self._receive, src, dst, seq, message, context)
@@ -469,14 +471,12 @@ class AsyncHost:
                 self._delay_front[key] = when
                 self.loop.call_at(when, self._receive, src, dst, seq, message, context)
         else:
-            # Remote edge: only this end is observable, so traffic is
-            # counted by type (no per-edge occupancy — that is exact only
+            # Remote edge: only this end is observable, so the send is
+            # logged but not judged (per-edge occupancy is exact only
             # where both endpoints are local; the cluster merge owns it).
             frame = encode_frame(src, dst, seq, message, context)
             bits = 8 * len(frame)
             self._wire(SendEvent(now, src, dst, name, layer, seq, bits))
-            cells = self._net_probe.type_cells(message)
-            cells[SENT] += 1
             writer = self._writers.get(peer)
             if writer is None or writer.is_closing():
                 # The peer is gone (crashed hosts sever their links, and
@@ -544,10 +544,7 @@ class AsyncHost:
         if self.tracer is not None:
             self.tracer.receive(now, src, dst, name, context)
         self.checks.observe(event)
-        if self._placement[src] == self.host_index:
-            self._net_probe.on_deliver(src, dst, message, now)
-        else:
-            self._net_probe.type_cells(message)[DELIVERED] += 1
+        self._net_probe.type_cells(message)[DELIVERED] += 1
         try:
             actor.deliver(src, message)
         except Exception as exc:  # noqa: BLE001 - every actor fault is a finding
@@ -564,10 +561,7 @@ class AsyncHost:
         # The FIFO checker judges the carried seq either way; channel
         # occupancy only retires sends it actually saw (local edges).
         self.checks.observe(event)
-        if self._placement[src] == self.host_index:
-            self._net_probe.on_drop(src, dst, message, now)
-        else:
-            self._net_probe.type_cells(message)[DROPPED] += 1
+        self._net_probe.type_cells(message)[DROPPED] += 1
 
     # ------------------------------------------------------------------
     # Checking
@@ -593,6 +587,9 @@ class AsyncHost:
 
     def _flush_probes(self) -> None:
         self._net_probe.flush()
+        render_in_transit(
+            self.registry, self.checks.checker(CHANNEL_BOUND).occupancy, self._run
+        )
         self._trace_probe.flush()
 
     # ------------------------------------------------------------------
@@ -923,7 +920,6 @@ class AsyncHost:
             "spans": len(self.spans),
             "span_meals": completed_meals(self.spans),
             "scrape_address": list(self.scrape_address) if self.scrape_address else None,
-            "max_in_transit_local": self._net_probe.max_in_transit(),
             "false_suspicion_retractions": (
                 self.detector.total_false_retractions()
                 if hasattr(self.detector, "total_false_retractions")

@@ -8,14 +8,17 @@ the daemon and the drinking variant both reuse it):
   sampled queue-depth gauge, final virtual time, and (when the registry
   asks for profiling) the wall-clock :class:`KernelProfiler`.
 * :class:`NetworkInstrument` — network monitor: messages sent /
-  delivered / dropped by type and layer, plus the **live in-transit
-  per-edge gauge** for the dining layer, which watches the paper's
-  4-messages-per-edge bound online and counts any excursion above it.
+  delivered / dropped by type and layer.
 * :class:`TraceInstrument` — trace listener: phase occupancy time,
   meals and hungry sessions, suspicions/refutations, crashes, hosted
-  protocol steps and transient faults, and an online exclusion-violation
-  tracker (two live neighbors eating at once) that pins the *time of the
-  last violation* — the quantity ◇WX is about.
+  protocol steps and transient faults.
+
+The per-edge in-transit gauge is not a probe: :func:`render_in_transit`
+renders it at flush from the run's one
+:class:`~repro.checks.ChannelOccupancy` — the channel-bound checker's
+(or, on an unchecked table, ``table.occupancy``) — and the live host
+and the cluster merge call the same helper.  Whether the bound held
+and whether exclusion was violated are the check suite's verdicts.
 
 Every flush is delta-safe: snapshots can be taken mid-run and again at
 the end without double counting.  All probes are passive observers —
@@ -82,60 +85,56 @@ class SimInstrument:
 SENT, DELIVERED, DROPPED = 0, 1, 2
 
 
-class NetworkInstrument(NetworkMonitor):
-    """Traffic counters plus the live per-edge in-transit gauge.
+def render_in_transit(registry: MetricsRegistry, occupancy, run: str) -> None:
+    """Render one occupancy as ``net.in_transit{edge, layer, run}`` gauges.
 
-    The dining layer is tracked per undirected edge: occupancy lives in
-    plain int dicts on the hot path (the instrumented network is the
-    busiest hook in the system), the bound is asserted online at every
-    send, and :meth:`flush` materializes the readings as gauges labelled
-    ``edge="a-b"`` — scoped by a per-simulation ``run`` tag so
-    back-to-back tables sharing a registry never blend their readings.
-    Other layers are counted but not tracked per edge: occupancy is only
-    a paper quantity for dining messages.  A dining edge rising above
-    ``bound`` increments an excursion counter — the online mirror of
-    :class:`repro.checks.ChannelBoundChecker`, which (strictly armed)
-    raises instead.
+    ``occupancy`` is a :class:`~repro.checks.ChannelOccupancy` (or
+    anything with its ``current``/``peak``/``peak_time`` dicts) counting
+    the dining layer — the only layer the paper bounds.  ``set(peak,
+    peak_time)`` pins each gauge's max and its witness time; the trailing
+    untimed ``set(current)`` leaves its value at the in-flight count.
+    Repeating the writes on a later flush is harmless, and the ``run``
+    label keeps tables that share a registry from blending readings.
+    """
+    current, peak_time = occupancy.current, occupancy.peak_time
+    for edge, peak in occupancy.peak.items():
+        if not peak:
+            continue  # read but never carried a message
+        gauge = registry.gauge(
+            "net.in_transit", edge=f"{edge[0]}-{edge[1]}", layer="dining", run=run
+        )
+        gauge.set(peak, peak_time[edge])
+        gauge.set(current.get(edge, 0))
+
+
+class NetworkInstrument(NetworkMonitor):
+    """Traffic counters by message type and layer.
+
+    The instrumented network is the busiest hook in the system, so the
+    hot path only touches plain ints: per message type, a ``[sent,
+    delivered, dropped]`` cell list.  :meth:`flush` converts them to
+    registry counters.
     """
 
-    def __init__(
-        self,
-        registry: MetricsRegistry,
-        *,
-        run: str,
-        bound: int = 4,
-        edge_layer: str = "dining",
-    ) -> None:
+    def __init__(self, registry: MetricsRegistry) -> None:
         self._registry = registry
-        self._run = run
-        self.bound = int(bound)
-        self._edge_layer = edge_layer
         # ``layer`` is a class attribute of every message type, so all
-        # per-message state memoizes on type(message).  The hot path only
-        # touches plain ints: per type, a ``[sent, delivered, dropped,
-        # on_edge_layer]`` cell list; per edge, a ``[current, peak,
-        # peak_time]`` entry.  :meth:`flush` converts both to registry
-        # instruments.
+        # per-message state memoizes on type(message).
         self._types: Dict[type, List[int]] = {}
         self._type_meta: Dict[type, Tuple[str, str]] = {}
         self._flushed_types: Dict[type, List[int]] = {}
-        self._edges: Dict[Tuple[ProcessId, ProcessId], List] = {}
-        self._exceeded = registry.counter("net.channel_bound_exceeded_total")
 
     def _type_entry(self, message) -> List[int]:
         cls = type(message)
-        layer = message_layer(message)
-        self._type_meta[cls] = (cls.__name__, layer)
-        entry = self._types[cls] = [0, 0, 0, 1 if layer == self._edge_layer else 0]
+        self._type_meta[cls] = (cls.__name__, message_layer(message))
+        entry = self._types[cls] = [0, 0, 0]
         return entry
 
     def type_cells(self, message) -> List[int]:
         """The traffic cells of ``type(message)``, indexed SENT/DELIVERED/DROPPED.
 
-        For traffic only one endpoint of which is observable (the live
-        host's cross-host edges): the caller bumps the type counts and
-        the per-edge occupancy, exact only with both ends in view, is
-        left alone.  :meth:`flush` renders the cells like any others.
+        The live host counts through this directly (it is not a kernel
+        network); :meth:`flush` renders the cells like any others.
         """
         try:
             return self._types[type(message)]
@@ -147,43 +146,21 @@ class NetworkInstrument(NetworkMonitor):
     # dict hit per hook; the KeyError path runs once per message type.
     def on_send(self, src: ProcessId, dst: ProcessId, message, time: Instant) -> None:
         try:
-            cells = self._types[type(message)]
+            self._types[type(message)][0] += 1
         except KeyError:
-            cells = self._type_entry(message)
-        cells[0] += 1
-        if cells[3]:
-            edge = (src, dst) if src <= dst else (dst, src)
-            entry = self._edges.get(edge)
-            if entry is None:
-                entry = self._edges[edge] = [0, 0, time]
-            entry[0] = occupancy = entry[0] + 1
-            if occupancy > entry[1]:
-                entry[1] = occupancy
-                entry[2] = time
-            if occupancy > self.bound:
-                self._exceeded.value += 1.0
+            self._type_entry(message)[0] += 1
 
     def on_deliver(self, src: ProcessId, dst: ProcessId, message, time: Instant) -> None:
         try:
-            cells = self._types[type(message)]
+            self._types[type(message)][1] += 1
         except KeyError:
-            cells = self._type_entry(message)
-        cells[1] += 1
-        if cells[3]:
-            entry = self._edges.get((src, dst) if src <= dst else (dst, src))
-            if entry is not None:
-                entry[0] -= 1
+            self._type_entry(message)[1] += 1
 
     def on_drop(self, src: ProcessId, dst: ProcessId, message, time: Instant) -> None:
         try:
-            cells = self._types[type(message)]
+            self._types[type(message)][2] += 1
         except KeyError:
-            cells = self._type_entry(message)
-        cells[2] += 1
-        if cells[3]:
-            entry = self._edges.get((src, dst) if src <= dst else (dst, src))
-            if entry is not None:
-                entry[0] -= 1
+            self._type_entry(message)[2] += 1
 
     # -- Instrument materialization ------------------------------------
     _COUNTER_NAMES = (
@@ -193,15 +170,7 @@ class NetworkInstrument(NetworkMonitor):
     )
 
     def flush(self) -> None:
-        """Render the tracked ints as counters and gauges (delta-safe).
-
-        Type cells become the three traffic counters (incremented by the
-        delta since the last flush).  Edge entries become per-edge
-        gauges: ``set(peak, peak_time)`` pins the gauge's max and its
-        witness time; the trailing untimed ``set(current)`` leaves the
-        gauge's value at the live in-flight count.  Repeating the same
-        writes on a later flush is harmless.
-        """
+        """Render the type cells as the three traffic counters (delta-safe)."""
         registry = self._registry
         for cls, cells in self._types.items():
             seen = self._flushed_types.get(cls)
@@ -211,24 +180,6 @@ class NetworkInstrument(NetworkMonitor):
             for idx, metric in enumerate(self._COUNTER_NAMES):
                 registry.counter(metric, type=name, layer=layer).inc(cells[idx] - seen[idx])
                 seen[idx] = cells[idx]
-        for edge, entry in self._edges.items():
-            gauge = registry.gauge(
-                "net.in_transit",
-                edge=f"{edge[0]}-{edge[1]}",
-                layer=self._edge_layer,
-                run=self._run,
-            )
-            gauge.set(entry[1], entry[2])
-            gauge.set(entry[0])
-
-    # -- Queries --------------------------------------------------------
-    def max_in_transit(self) -> int:
-        """Largest per-edge occupancy ever observed (0 if no traffic)."""
-        return max((entry[1] for entry in self._edges.values()), default=0)
-
-    def edge_peaks(self) -> Dict[Tuple[ProcessId, ProcessId], int]:
-        """Peak in-transit count per undirected edge."""
-        return {edge: self._edges[edge][1] for edge in sorted(self._edges)}
 
 
 class MessageBitsInstrument(NetworkMonitor):
@@ -313,18 +264,18 @@ class MessageBitsInstrument(NetworkMonitor):
 
 
 class TraceInstrument:
-    """Trace-record probe: phases, sessions, suspicions, violations."""
+    """Trace-record probe: phases, meals, sessions, suspicions, crashes.
 
-    def __init__(self, registry: MetricsRegistry, graph, sim) -> None:
+    ``sim`` is anything with a ``now`` (the kernel simulator, a live
+    host): :meth:`flush` accounts open phases up to it.
+    """
+
+    def __init__(self, registry: MetricsRegistry, sim) -> None:
         self._registry = registry
-        self._graph = graph
         self._sim = sim
         self._phase_since: Dict[ProcessId, Tuple[str, float]] = {}
-        self._eating: set = set()
         self._meals = registry.counter("dining.meals_total")
         self._sessions = registry.counter("dining.sessions_total")
-        self._violations = registry.counter("dining.violations_total")
-        self._last_violation = registry.gauge("dining.last_violation_time")
         self._suspicions = registry.counter("detector.suspicions_total")
         self._refutations = registry.counter("detector.refutations_total")
         self._crashes = registry.counter("crashes_total")
@@ -363,7 +314,6 @@ class TraceInstrument:
 
     def _on_crash(self, record: Crash) -> None:
         self._crashes.inc()
-        self._eating.discard(record.pid)
         self._close_phase(record.pid, record.time)
 
     def _on_protocol_step(self, record: ProtocolStep) -> None:
@@ -403,19 +353,10 @@ class TraceInstrument:
                 counter.value += time - since
         new_phase = record.new_phase
         self._phase_since[pid] = (new_phase, time)
-
         if new_phase == EATING:
             self._meals.value += 1.0
-            eating = self._eating
-            for neighbor in self._graph.neighbors(pid):
-                if neighbor in eating:
-                    self._violations.inc()
-                    self._last_violation.set(time, time)
-            eating.add(pid)
-        else:
-            self._eating.discard(pid)
-            if new_phase == HUNGRY:
-                self._sessions.value += 1.0
+        elif new_phase == HUNGRY:
+            self._sessions.value += 1.0
 
     def flush(self) -> None:
         """Account phase occupancy up to the current virtual time."""
@@ -465,6 +406,8 @@ class Instrumentation:
         trace_probe: TraceInstrument,
         quiescence_probe: Optional[QuiescenceInstrument],
         profiler: Optional[KernelProfiler],
+        occupancy,
+        run: str,
         checks=None,
     ) -> None:
         self.registry = registry
@@ -473,11 +416,14 @@ class Instrumentation:
         self.trace = trace_probe
         self.quiescence = quiescence_probe
         self.profiler = profiler
+        self.occupancy = occupancy
+        self.run = run
         self.checks = checks
 
     def flush(self) -> None:
         self.sim.flush()
         self.network.flush()
+        render_in_transit(self.registry, self.occupancy, self.run)
         self.trace.flush()
         if self.quiescence is not None:
             self.quiescence.flush()
@@ -489,8 +435,11 @@ class Instrumentation:
             flush_check_profile(self.checks, self.registry)
 
 
-def instrument_table(table, registry: MetricsRegistry, *, bound: int = 4) -> Instrumentation:
+def instrument_table(table, registry: MetricsRegistry) -> Instrumentation:
     """Attach the full probe set to a built table; returns the handle.
+
+    The in-transit gauges render from ``table.occupancy`` — on a checked
+    table that is the channel-bound checker's own count.
 
     The registry remembers the instrumentation through a finalizer, so
     ``registry.snapshot()`` is always taken over flushed, current
@@ -498,11 +447,9 @@ def instrument_table(table, registry: MetricsRegistry, *, bound: int = 4) -> Ins
     themselves.
     """
     sim_probe = SimInstrument(table.sim, registry)
-    network_probe = NetworkInstrument(
-        registry, run=registry.next_instance("table"), bound=bound
-    )
+    network_probe = NetworkInstrument(registry)
     table.network.add_monitor(network_probe)
-    trace_probe = TraceInstrument(registry, table.graph, table.sim)
+    trace_probe = TraceInstrument(registry, table.sim)
     trace_probe.attach(table.trace)
     quiescence_probe = (
         QuiescenceInstrument(registry, table.quiescence)
@@ -520,6 +467,8 @@ def instrument_table(table, registry: MetricsRegistry, *, bound: int = 4) -> Ins
         trace_probe,
         quiescence_probe,
         profiler,
+        table.occupancy,
+        registry.next_instance("table"),
         checks=getattr(table, "checks", None),
     )
     registry.add_finalizer(handle.flush)

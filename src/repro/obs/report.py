@@ -4,14 +4,15 @@
 run (duck-typed: anything with ``scenario``/``title``/``seed_results``)
 into a JSON-ready document whose ``summary`` answers the paper's
 questions directly — when did the system quiesce toward crashed
-processes, when was the last exclusion violation, how close did any edge
-come to the 4-message channel bound, and where did the kernel's wall
-clock actually go.
+processes, how close did any edge come to the 4-message channel bound,
+and where did the kernel's wall clock actually go.
 
 When the sweep also collected check verdicts (``repro report`` runs with
 check collection on), the report carries the merged
 :class:`~repro.checks.Verdict` under ``"checks"`` and the text rendering
-appends its per-property scorecard.
+appends its per-property scorecard — the one place exclusion (◇WX's
+``last_overlap_end``) and bound excursions (channel-bound's
+``exceedances_total``) are stated.
 
 Renderers:
 
@@ -111,14 +112,11 @@ def summarize_snapshot(
         "channel_bound": int(bound),
         "channel_max_in_transit": None if channel_max is None else int(channel_max),
         "channel_max_time": gauge_max_time(snapshot, "net.in_transit"),
-        "channel_bound_exceeded": counter_total(snapshot, "net.channel_bound_exceeded_total"),
         "channel_bound_ok": channel_max is None or channel_max <= bound,
         "meals": counter_total(snapshot, "dining.meals_total"),
         "sessions": sessions,
         "acks_per_session": (acks / sessions) if sessions else None,
         "fork_transfers": counter_total(snapshot, "net.messages_delivered_total", type="Fork"),
-        "violations": counter_total(snapshot, "dining.violations_total"),
-        "last_violation_time": gauge_max(snapshot, "dining.last_violation_time"),
         "suspicions": counter_total(snapshot, "detector.suspicions_total"),
         "refutations": counter_total(snapshot, "detector.refutations_total"),
         "crashes": counter_total(snapshot, "crashes_total"),
@@ -224,10 +222,6 @@ def render_report_text(report: Mapping[str, object]) -> str:
             else ""
         )
         + ")"
-    )
-    lines.append(
-        f"  last violation:      t={_fmt(summary['last_violation_time'])} "
-        f"({_fmt(summary['violations'])} total)"
     )
     lines.append(
         f"  quiescence:          last dining send to a crashed process at "

@@ -79,7 +79,7 @@ class TestReportCommand:
         assert code == 0
         assert "run report — e2" in out
         assert "channel bound:" in out
-        assert "last violation:" in out
+        assert "wx-safety" in out
         assert "quiescence:" in out
         assert "kernel hotspots" in out
         import json
@@ -100,7 +100,7 @@ class TestReportCommand:
         def pick(text):
             return [
                 line for line in text.splitlines()
-                if line.strip().startswith(("channel bound", "last violation", "quiescence:"))
+                if line.strip().startswith(("channel bound", "[pass] wx-safety", "quiescence:"))
             ]
         assert pick(cold) == pick(warm)
 

@@ -12,6 +12,7 @@ import os
 
 import pytest
 
+from repro.checks import CHANNEL_BOUND
 from repro.graphs.topologies import ring
 from repro.net.host import AsyncHost, HostConfig, run_host
 from repro.net.cluster import ClusterSpec, launch
@@ -46,7 +47,8 @@ def test_loopback_five_ring_end_to_end():
     meals = {int(pid): count for pid, count in result["meals"].items()}
     assert set(meals) == {0, 1, 2, 3, 4}
     assert all(count > 0 for count in meals.values())
-    assert result["max_in_transit_local"] <= 4
+    channel = result["verdict"]["properties"][CHANNEL_BOUND]
+    assert channel["counters"]["max_in_transit"] <= 4
     assert result["wire_events"] > 0
 
 
@@ -275,7 +277,8 @@ def test_three_process_unix_cluster(tmp_path):
     assert 0 < verdict.max_in_transit <= 4
     # Every triangle edge is cross-host here, so each must appear in the
     # merged staircase and in the cluster-level Prometheus exposition.
-    assert set(verdict.edge_peaks) == {"0-1", "0-2", "1-2"}
+    channel = verdict.checks.properties[CHANNEL_BOUND]
+    assert set(channel.details["edge_peaks"]) == {"0-1", "0-2", "1-2"}
     assert 'repro_net_in_transit{edge="0-1",layer="dining",run="cluster"}' in (
         verdict.prometheus
     )

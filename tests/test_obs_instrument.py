@@ -1,17 +1,18 @@
 """Integration tests: probes on live tables, the runner, and reports.
 
-The load-bearing claim is *agreement*: the online in-transit gauge must
-see exactly what the always-on :class:`ChannelOccupancyMonitor` sees —
-including on the Section 7 adversarial schedule that provably puts four
-dining messages on one edge — so the report's "channel bound OK" line
-carries the same evidentiary weight as the raising
-:class:`ChannelBoundChecker`.
+The load-bearing claim is *agreement*: the in-transit gauge must show
+exactly what the table's one occupancy count (the channel-bound
+checker's) saw — including on the Section 7 adversarial schedule that
+provably puts four dining messages on one edge — so the report's
+"channel bound OK" line carries the same evidentiary weight as the
+raising :class:`ChannelBoundChecker`.
 """
 
 import pytest
 
 from repro.core import DiningTable, DistributedDaemon, scripted_detector
 from repro.graphs import ring
+from repro.graphs.membership import MembershipDelta, MembershipLog
 from repro.obs import (
     MetricsRegistry,
     active_registry,
@@ -22,6 +23,7 @@ from repro.obs import (
     render_report_text,
     summarize_snapshot,
 )
+from repro.obs.metrics import gauge_entries
 from repro.scenarios import Runner
 from repro.sim.crash import CrashPlan
 from repro.stabilization import GreedyRecoloring
@@ -68,11 +70,15 @@ class TestChannelGaugeAgreement:
     def test_matches_occupancy_monitor_on_adversarial_run(self):
         with collecting() as registry:
             table = run_adversarial_table()
-        probe = table.instrumentation.network
-        assert probe.max_in_transit() == table.occupancy.max_occupancy
-        peaks = {edge: peak for edge, peak in table.occupancy.peak.items() if peak}
-        assert probe.edge_peaks() == peaks
         snapshot = registry.snapshot()
+        entries = gauge_entries(snapshot, "net.in_transit", layer="dining")
+        peaks = {edge: peak for edge, peak in table.occupancy.peak.items() if peak}
+        assert {entry["labels"]["edge"] for entry in entries} == {
+            f"{a}-{b}" for a, b in peaks
+        }
+        for entry in entries:
+            a, b = map(int, entry["labels"]["edge"].split("-"))
+            assert entry["max"] == table.occupancy.peak[(a, b)]
         assert gauge_max(snapshot, "net.in_transit", layer="dining") == (
             table.occupancy.max_occupancy
         )
@@ -84,25 +90,48 @@ class TestChannelGaugeAgreement:
             table = build_extreme_table()
             table.run(until=120.0)
         assert table.occupancy.peak[(0, 1)] == 4
-        probe = table.instrumentation.network
-        assert probe.max_in_transit() == 4
-        assert probe.edge_peaks()[(0, 1)] == 4
         snapshot = registry.snapshot()
+        assert gauge_max(snapshot, "net.in_transit", layer="dining", edge="0-1") == 4
         assert gauge_max(snapshot, "net.in_transit", layer="dining") == 4
-        # At the bound, not over it: no excursion was counted.
-        assert counter_total(snapshot, "net.channel_bound_exceeded_total") == 0
+        # At the bound, not over it: the judge counted no excursion.
+        verdict = table.verdict().properties["channel-bound"]
+        assert verdict.counters["exceedances_total"] == 0
 
     def test_back_to_back_tables_do_not_blend_live_gauges(self):
         with collecting() as registry:
             first = run_adversarial_table()
             second = run_adversarial_table()
-        # Same seed, same schedule — each table's probe saw its own peak.
-        assert (
-            first.instrumentation.network.max_in_transit()
-            == second.instrumentation.network.max_in_transit()
-            == first.occupancy.max_occupancy
-        )
+        # Same seed, same schedule — each table's gauges show its own peak.
+        snapshot = registry.snapshot()
+        for table in (first, second):
+            run = table.instrumentation.run
+            assert gauge_max(snapshot, "net.in_transit", run=run) == (
+                table.occupancy.max_occupancy
+            )
+        assert first.instrumentation.run != second.instrumentation.run
         assert registry is second.metrics
+
+
+class TestDynamicMembership:
+    def test_joined_pid_eats_and_gets_gauges_on_its_edges(self):
+        # A pid that joins mid-run is a neighbour no static graph knows:
+        # the metrics plane must follow the run's own counts.
+        registry = MetricsRegistry(profile=False)
+        table = DiningTable(
+            ring(6),
+            seed=0,
+            membership=MembershipLog([MembershipDelta(5.0, "join", 6, edges=(0, 5))]),
+            metrics=registry,
+        )
+        table.run(until=60)
+        assert table.diners[6].meals_eaten > 0
+        snapshot = registry.snapshot()
+        for edge in ((0, 6), (5, 6)):
+            label = f"{edge[0]}-{edge[1]}"
+            assert gauge_entries(snapshot, "net.in_transit", edge=label)
+            assert gauge_max(snapshot, "net.in_transit", edge=label) == (
+                table.occupancy.peak[edge]
+            )
 
 
 class TestDeltaSafety:
@@ -125,13 +154,13 @@ class TestDeltaSafety:
 
 
     def test_one_ended_traffic_counts_by_type_without_touching_edges(self):
-        """``type_cells`` is how the live host counts cross-host frames:
-        same counters as the monitor hooks, delta-safe, no edge gauge."""
+        """``type_cells`` is how the live host counts its frames: same
+        counters as the monitor hooks, delta-safe, no edge gauge."""
         from repro.core.messages import Fork, Ping
         from repro.obs.instrument import DELIVERED, DROPPED, SENT, NetworkInstrument
 
         registry = MetricsRegistry()
-        probe = NetworkInstrument(registry, run="t")
+        probe = NetworkInstrument(registry)
         probe.on_send(0, 1, Ping(0), 1.0)  # a two-ended (local) send
         probe.type_cells(Ping(0))[SENT] += 1  # a one-ended (remote) send
         probe.type_cells(Fork(1))[DELIVERED] += 1
@@ -142,7 +171,7 @@ class TestDeltaSafety:
         assert counter_total(snapshot, "net.messages_sent_total", type="Ping") == 2
         assert counter_total(snapshot, "net.messages_delivered_total", type="Fork") == 1
         assert counter_total(snapshot, "net.messages_dropped_total", type="Fork") == 1
-        assert probe.edge_peaks() == {(0, 1): 1}
+        assert not gauge_entries(snapshot, "net.in_transit")
 
 
 class TestProfilerAndPhases:
@@ -244,3 +273,11 @@ class TestRunReport:
         assert "channel bound" in text
         assert "kernel hotspots" in text
         assert "max %d in transit per edge" % summary["channel_max_in_transit"] in text
+
+    def test_pooled_campaign_scenario_reports_what_it_judged(self):
+        # fuzz_clean's campaign is long enough for a worker pool; the
+        # ambient registry and check collector must still see its runs.
+        runner = Runner(use_cache=False, collect_metrics=True, collect_checks=True)
+        report = build_report(runner.run("fuzz_clean", seeds=[0]))
+        assert report["summary"]["events_processed"] > 0
+        assert report["checks"]["events_observed"] > 0
