@@ -762,9 +762,11 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
     import asyncio
     import time
 
+    from repro.errors import LaunchError
     from repro.locks.loadgen import LoadgenOptions, run_loadgen
     from repro.net.cluster import (
         ClusterSpec,
+        ClusterVerdict,
         merge_run,
         placement_summary,
         start_cluster,
@@ -819,17 +821,19 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
         f"process(es) via {args.transport}, {args.duration:g}s; "
         f"{options.sessions} sessions x{options.concurrency}"
     )
-    handle = start_cluster(spec)
+    try:
+        handle = start_cluster(spec)
+    except LaunchError as exc:
+        print(f"cluster failed to start: {exc}", file=sys.stderr)
+        return 1
     print(f"  placement: {placement_summary(spec)}")
-    time.sleep(max(0.0, spec.epoch - time.time()) + 0.2)
+    # Every host is listening; frames that beat a host's start wait for it.
+    time.sleep(max(0.0, spec.epoch - time.time()))
     report = asyncio.run(run_loadgen(spec, options))
     emit(report)
 
     failures = wait_cluster(handle)
-    verdict = merge_run(spec)
-    if failures:
-        verdict.checker_violations.extend(failures)
-        verdict.ok = False
+    verdict = ClusterVerdict.unmerged(failures) if failures else merge_run(spec)
     print()
     print(verdict.describe())
     leaked = int((verdict.locks or {}).get("leaked_leases", 0))

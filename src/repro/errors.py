@@ -18,6 +18,10 @@ class ConfigurationError(ReproError):
     """A component was constructed or wired with invalid parameters."""
 
 
+class LaunchError(ReproError):
+    """A cluster host exited, or stayed silent, before the shared epoch."""
+
+
 class SimulationError(ReproError):
     """The simulation kernel reached an inconsistent internal state."""
 

@@ -5,8 +5,9 @@
 real sockets, then merges what every host recorded into one verdict:
 
 1. **Launch** — :func:`launch` writes ``spec.json`` into a run directory
-   (topology, placement, per-host addresses, shared epoch), spawns one
-   ``repro serve`` process per host, and waits for them all.
+   (topology, placement, per-host addresses), spawns one ``repro serve``
+   process per host, stamps the shared epoch once every host reports
+   ready (listening and dialled), and waits for them all.
 2. **Serve** — :func:`serve` (the child entry point) rebuilds the host
    from the spec, runs it, and dumps ``trace.jsonl`` / ``wire.jsonl`` /
    ``metrics.json`` / ``result.json`` into its own output directory.
@@ -31,9 +32,14 @@ fails the run.
 
 from __future__ import annotations
 
+import asyncio
+import contextlib
 import json
 import math
 import os
+import pathlib
+import select
+import socket
 import subprocess
 import sys
 import time
@@ -54,11 +60,11 @@ from repro.checks import (
     merge_events,
 )
 from repro.core.assembly import Wiring
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, LaunchError
 from repro.graphs import topologies
 from repro.graphs.conflict import ConflictGraph
 from repro.graphs.membership import MembershipLog
-from repro.net.host import AsyncHost, HostConfig, run_host
+from repro.net.host import AsyncHost, HostConfig
 from repro.obs.instrument import render_in_transit
 from repro.obs.metrics import MetricsRegistry, gauge_max, merge_snapshots
 from repro.obs.report import render_prometheus
@@ -117,7 +123,7 @@ class ClusterSpec:
     #: ``join`` and ``leave``; rejoin and edge churn need the loopback
     #: single-host sequence fences.
     membership: List[Dict[str, object]] = field(default_factory=list)
-    #: Filled in by :func:`launch` before the spec reaches the children.
+    #: Stamped by :func:`start_cluster` once every host is ready.
     epoch: Optional[float] = None
     addresses: Dict[int, object] = field(default_factory=dict)
     placement: Dict[int, int] = field(default_factory=dict)
@@ -259,6 +265,11 @@ class ClusterVerdict:
     def max_in_transit(self) -> int:
         return self._counter(CHANNEL_BOUND, "max_in_transit")
 
+    @classmethod
+    def unmerged(cls, failures: List[str]) -> "ClusterVerdict":
+        """A run that failed before its outputs could be merged."""
+        return cls(False, [], list(failures), Verdict({}), 0, "")
+
     def describe(self) -> str:
         lines = [
             f"cluster verdict: {'PASS' if self.ok else 'FAIL'}",
@@ -283,7 +294,8 @@ class ClusterVerdict:
             )
         for detail in self.checker_violations[:10]:
             lines.append(f"    ! {detail}")
-        lines.extend("  " + line for line in self.checks.describe().splitlines())
+        if self.hosts:  # an unmerged run has no judgement to show
+            lines.extend("  " + line for line in self.checks.describe().splitlines())
         return "\n".join(lines)
 
 
@@ -328,12 +340,29 @@ def build_host(spec: ClusterSpec, host_index: int) -> AsyncHost:
 
 
 def serve(spec_path: str, host_index: int, output_dir: Optional[str] = None) -> int:
-    """Run one host of a launched cluster; the ``repro serve`` body."""
+    """Run one host of a launched cluster; the ``repro serve`` body.
+
+    A spec without an epoch gets one from :func:`start_cluster`'s handshake."""
     spec = ClusterSpec.load(spec_path)
     host = build_host(spec, host_index)
-    run_host(host)
+    asyncio.run(host.run(_launcher_epoch if spec.epoch is None else None))
     host.write_outputs(output_dir or spec.host_dir(host_index))
     return 1 if host.violations or not host.verdict().ok else 0
+
+
+async def _launcher_epoch() -> float:
+    """Write ``ready`` on stdin (the launcher's socket); read the epoch back."""
+    loop = asyncio.get_running_loop()
+    with socket.socket(fileno=0) as channel:
+        channel.setblocking(False)
+        await loop.sock_sendall(channel, b"ready\n")
+        line = b""
+        while not line.endswith(b"\n"):
+            chunk = await loop.sock_recv(channel, 64)
+            if not chunk:
+                raise LaunchError("the launcher hung up before sending the epoch")
+            line += chunk
+    return float(line)
 
 
 # ----------------------------------------------------------------------
@@ -371,42 +400,87 @@ class ClusterHandle:
     spec: ClusterSpec
     spec_path: str
     children: List[object] = field(default_factory=list)
+    #: Each host's spawn instant and spawn-to-ready seconds (import, bind, dial).
+    spawned_at: List[float] = field(default_factory=list)
+    ready_s: List[float] = field(default_factory=list)
+
+
+def _last_line(handle: ClusterHandle, index: int) -> str:
+    """The last line host ``index`` logged: how it died, when it did."""
+    with open(handle.children[index][1].name, "r", encoding="utf-8", errors="replace") as stream:
+        lines = [line.strip() for line in stream if line.strip()]
+    return lines[-1] if lines else "(no output)"
 
 
 def start_cluster(spec: ClusterSpec) -> ClusterHandle:
-    """Write the spec and spawn every host as its own OS process."""
+    """Spawn every host as its own OS process; start them on one epoch.
+
+    Each child's stdin is a socket pair end: it writes ``ready`` once
+    bound and dialled, then reads the epoch stamped when all are ready.
+    A host that exits first or is not ready within ``connect_timeout``
+    kills every child and raises :class:`LaunchError`."""
     os.makedirs(spec.run_dir, exist_ok=True)
     spec.placement = spec.placement or spec.default_placement()
     spec.addresses = _allocate_addresses(spec)
-    # Actors on every host start together at the epoch; the margin covers
-    # interpreter start-up plus the dial-retry handshake.
-    spec.epoch = time.time() + 1.0 + 0.4 * spec.processes
-    spec_path = os.path.join(spec.run_dir, "spec.json")
-    with open(spec_path, "w", encoding="utf-8") as stream:
-        stream.write(spec.to_json())
-        stream.write("\n")
-
-    children = []
+    spec.epoch = None
+    spec_file = pathlib.Path(spec.run_dir, "spec.json")
+    spec_file.write_text(spec.to_json() + "\n", encoding="utf-8")
+    handle = ClusterHandle(spec=spec, spec_path=str(spec_file))
+    channels = []
     for index in range(spec.processes):
         log = open(os.path.join(spec.run_dir, f"host-{index}.log"), "w", encoding="utf-8")
-        children.append(
-            (
-                subprocess.Popen(
-                    [sys.executable, "-m", "repro", "serve",
-                     "--spec", spec_path, "--host-index", str(index)],
-                    stdout=log,
-                    stderr=subprocess.STDOUT,
-                ),
-                log,
-            )
+        ours, theirs = socket.socketpair()
+        handle.spawned_at.append(time.time())
+        child = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve",
+             "--spec", handle.spec_path, "--host-index", str(index)],
+            stdin=theirs,
+            stdout=log,
+            stderr=subprocess.STDOUT,
         )
-    return ClusterHandle(spec=spec, spec_path=spec_path, children=children)
+        theirs.close()
+        handle.children.append((child, log))
+        channels.append(ours)
+    try:
+        _await_ready(handle, channels)
+        spec.epoch = time.time() + 0.01  # time for the line to reach every host
+        spec_file.write_text(spec.to_json() + "\n", encoding="utf-8")
+        for channel in channels:
+            with contextlib.suppress(OSError):  # died after ready: wait_cluster names it
+                channel.sendall(f"{spec.epoch!r}\n".encode("ascii"))
+    except LaunchError:
+        for child, log in handle.children:
+            child.kill()
+            child.wait()
+            log.close()
+        raise
+    finally:
+        for channel in channels:
+            channel.close()
+    return handle
+
+
+def _await_ready(handle: ClusterHandle, channels: List[socket.socket]) -> None:
+    """Fill ``handle.ready_s`` as hosts report; raise naming one that cannot."""
+    deadline = time.time() + handle.spec.connect_timeout
+    waiting = dict(zip(channels, range(len(channels))))
+    handle.ready_s = [0.0] * len(channels)
+    while waiting:
+        readable, _, _ = select.select(list(waiting), [], [], max(0.0, deadline - time.time()))
+        if not readable:
+            index = min(waiting.values())
+            raise LaunchError(f"host {index} was not ready in time: {_last_line(handle, index)}")
+        for channel in readable:
+            index = waiting.pop(channel)
+            if not channel.recv(64):
+                raise LaunchError(f"host {index} exited before ready: {_last_line(handle, index)}")
+            handle.ready_s[index] = time.time() - handle.spawned_at[index]
 
 
 def wait_cluster(handle: ClusterHandle) -> List[str]:
     """Wait for every host; returns launcher-level failures (not merges)."""
     spec = handle.spec
-    deadline = spec.epoch + spec.duration + spec.connect_timeout + 30.0
+    deadline = spec.epoch + spec.duration + 30.0
     failures: List[str] = []
     for index, (child, log) in enumerate(handle.children):
         budget = max(1.0, deadline - time.time())
@@ -416,22 +490,26 @@ def wait_cluster(handle: ClusterHandle) -> List[str]:
             child.kill()
             child.wait()
             failures.append(f"host {index} timed out and was killed")
-            code = -9
+            continue
         finally:
             log.close()
-        if code not in (0, 1):  # 1 = ran but saw violations; merge reports them
-            failures.append(f"host {index} exited with code {code}")
+        # 1 = ran but saw violations; the merge reports them.
+        if code not in (0, 1):
+            failures.append(f"host {index} exited with code {code}: {_last_line(handle, index)}")
+        elif not os.path.exists(os.path.join(spec.host_dir(index), "result.json")):
+            failures.append(f"host {index} wrote no result.json: {_last_line(handle, index)}")
     return failures
 
 
 def launch(spec: ClusterSpec, *, quiet: bool = False) -> ClusterVerdict:
-    """Spawn the cluster, wait for every host, and merge the outputs."""
-    handle = start_cluster(spec)
-    failures = wait_cluster(handle)
-    verdict = merge_run(spec)
-    if failures:
-        verdict.checker_violations.extend(failures)
-        verdict.ok = False
+    """Spawn the cluster, wait for every host, and merge the outputs.
+
+    A launcher failure fails the run with nothing merged."""
+    try:
+        failures = wait_cluster(start_cluster(spec))
+    except LaunchError as exc:
+        failures = [str(exc)]
+    verdict = ClusterVerdict.unmerged(failures) if failures else merge_run(spec)
     if not quiet:
         print(verdict.describe())
         print()

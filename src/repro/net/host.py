@@ -149,10 +149,11 @@ class AsyncHost:
         kind: ``loopback`` (in-process only), ``unix`` (address is a
         socket path), or ``tcp`` (address is a ``[host, port]`` pair).
     epoch:
-        Shared wall-clock zero (``time.time()`` units).  The cluster
-        launcher picks one instant slightly in the future and hands it to
-        every host, so ``now`` is cross-process comparable and all hosts
-        start their actors together.  Defaults to "when run() starts".
+        Shared wall-clock zero (``time.time()`` units), so ``now`` is
+        cross-process comparable and all hosts start their actors
+        together.  ``None`` leaves it to :meth:`run`: the ``barrier``
+        given there (the cluster launcher's readiness handshake), else
+        the instant the transport is up.
     crash_times:
         pid -> crash instant (seconds after the epoch) for local pids.
     inject_latency:
@@ -205,6 +206,8 @@ class AsyncHost:
         self._epoch: Optional[float] = epoch
         self._finished = False
         self.loop: Optional[asyncio.AbstractEventLoop] = None
+        #: Inbound frames wait for the actors' start (and a known epoch).
+        self._started = asyncio.Event()
 
         # One wiring for every substrate (repro.core.assembly), exactly
         # as the kernel table derives it.  Delta times are in host
@@ -715,6 +718,7 @@ class AsyncHost:
         """
         decoder = FrameDecoder(capture_context=True)
         try:
+            await self._started.wait()
             while True:
                 data = await reader.read(65536)
                 if not data:
@@ -761,13 +765,15 @@ class AsyncHost:
     # ------------------------------------------------------------------
     # Run
     # ------------------------------------------------------------------
-    async def run(self) -> "AsyncHost":
-        """Connect, run every local actor for ``config.duration``, wind down."""
+    async def run(self, barrier=None) -> "AsyncHost":
+        """Connect, run every local actor for ``config.duration``, wind down.
+
+        Without an epoch, a ``barrier`` coroutine function supplies it."""
         self.loop = asyncio.get_running_loop()
         await self._start_scrape()
         await self._start_transport()
         if self._epoch is None:
-            self._epoch = time.time()
+            self._epoch = await barrier() if barrier is not None else time.time()
         start_delay = self._epoch - time.time()
         if start_delay > 0:
             await asyncio.sleep(start_delay)
@@ -775,6 +781,7 @@ class AsyncHost:
         for pid, actor in sorted(self.diners.items()):
             self.guarded(actor.on_start, label=f"start@{pid}", pid=pid)()
         schedule(self, self._crash_times)
+        self._started.set()
 
         remaining = self._epoch + self.config.duration - time.time()
         if remaining > 0:

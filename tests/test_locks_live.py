@@ -119,3 +119,34 @@ def test_lease_reclaimed_after_connection_killed_mid_lease(transport, tmp_path):
     assert locks["denies"] == {DENY_UNKNOWN: 1}
     assert locks["active_leases"] == 0
     assert locks["leaked_leases"] == 0
+
+
+def test_a_request_that_beats_the_epoch_waits_for_the_start(tmp_path):
+    """A client may connect and ask as soon as the listener is bound
+    (``repro loadgen`` sleeps only to the epoch): inbound frames wait
+    until the host's diners have started, so the grant comes after the
+    epoch and nothing is recorded before it."""
+    spec = _serving_spec("unix", str(tmp_path / "run"))
+    spec.duration = 1.0
+    os.makedirs(spec.run_dir, exist_ok=True)
+    host = build_host(spec, 0)
+
+    async def scenario():
+        runner = asyncio.ensure_future(host.run())
+        try:
+            client = await _connect(spec.transport, spec.addresses[0], client_index=0)
+            assert time.time() < spec.epoch
+            held = await client.acquire("r1", ttl_ms=100, timeout=5.0)
+            granted_at = time.time()
+            await client.release(held)
+            await client.close()
+            return held, granted_at
+        finally:
+            await runner
+
+    held, granted_at = asyncio.run(scenario())
+    assert held.granted, held.reason
+    assert granted_at >= spec.epoch
+    assert min(record.time for record in host.trace) >= 0.0
+    assert min(event.time for event in host.wire_events) >= 0.0
+    assert host.result()["violations"] == []

@@ -15,7 +15,14 @@ import pytest
 from repro.checks import CHANNEL_BOUND
 from repro.graphs.topologies import ring
 from repro.net.host import AsyncHost, HostConfig, run_host
-from repro.net.cluster import ClusterSpec, launch
+from repro.net.cluster import (
+    ClusterSpec,
+    launch,
+    merge_run,
+    serve,
+    start_cluster,
+    wait_cluster,
+)
 
 pytestmark = pytest.mark.live
 
@@ -252,26 +259,43 @@ def test_loopback_wire_log_holds_the_observed_events_and_replays_offline(tmp_pat
 # ----------------------------------------------------------------------
 # Real sockets: 3 OS processes over unix sockets
 # ----------------------------------------------------------------------
-def test_three_process_unix_cluster(tmp_path):
-    """One diner per OS process on a triangle, linked by unix sockets.
-    The merged verdict must be clean and the Section 7 bound must hold
-    on every (cross-host) edge of the merged wire log."""
-    spec = ClusterSpec(
+def _triangle_spec(run_dir, processes=3, duration=1.0) -> ClusterSpec:
+    return ClusterSpec(
         topology="ring",
         n=3,
-        processes=3,
-        duration=1.0,
+        processes=processes,
+        duration=duration,
         seed=3,
         eat_time=0.02,
         think_time=0.005,
         heartbeat_interval=0.1,
         initial_timeout=0.3,
         timeout_increment=0.1,
-        run_dir=str(tmp_path / "cluster"),
+        run_dir=str(run_dir),
     )
-    verdict = launch(spec, quiet=True)
+
+
+def test_three_process_unix_cluster(tmp_path):
+    """One diner per OS process on a triangle, linked by unix sockets.
+    The merged verdict must be clean and the Section 7 bound must hold
+    on every (cross-host) edge of the merged wire log.
+
+    The hosts start on a readiness barrier: the epoch is stamped only
+    once every host has reported ready, it reaches ``spec.json`` on
+    disk, and every host ran on exactly that epoch."""
+    spec = _triangle_spec(tmp_path / "cluster")
+    handle = start_cluster(spec)
+    assert isinstance(spec.epoch, float)
+    assert ClusterSpec.load(handle.spec_path).epoch == spec.epoch
+    assert len(handle.ready_s) == spec.processes
+    for spawned, ready_s in zip(handle.spawned_at, handle.ready_s):
+        assert 0.0 < ready_s < spec.connect_timeout
+        assert spawned + ready_s <= spec.epoch
+    assert wait_cluster(handle) == []
+    verdict = merge_run(spec)
 
     assert verdict.ok, verdict.describe()
+    assert [host["epoch"] for host in verdict.hosts] == [spec.epoch] * spec.processes
     assert verdict.checker_violations == []
     assert verdict.total_meals > 0
     assert 0 < verdict.max_in_transit <= 4
@@ -282,6 +306,67 @@ def test_three_process_unix_cluster(tmp_path):
     assert 'repro_net_in_transit{edge="0-1",layer="dining",run="cluster"}' in (
         verdict.prometheus
     )
+
+
+def test_a_host_that_dies_at_start_up_fails_the_launch_by_name(tmp_path, monkeypatch):
+    """A host socket path past the AF_UNIX limit kills its host before it
+    is ready.  The launch fails naming the host and the cause, every
+    other child is killed, and nothing is merged."""
+    import subprocess
+    import time
+
+    spawned = []
+    popen = subprocess.Popen
+    monkeypatch.setattr(
+        subprocess, "Popen", lambda *a, **k: spawned.append(popen(*a, **k)) or spawned[-1]
+    )
+    run_dir = tmp_path / ("d" * max(1, 110 - len(str(tmp_path))))
+    spec = _triangle_spec(run_dir, processes=2)
+    assert len(os.path.join(spec.run_dir, "host-0.sock")) > 108
+    started = time.time()
+    verdict = launch(spec, quiet=True)
+
+    assert time.time() - started < spec.connect_timeout
+    assert not verdict.ok and verdict.hosts == []
+    [failure] = verdict.checker_violations
+    assert failure.startswith(("host 0 exited before ready", "host 1 exited before ready"))
+    assert failure.endswith("OSError: AF_UNIX path too long"), failure
+    assert len(spawned) == 2 and all(child.poll() is not None for child in spawned)
+    assert "FAIL" in verdict.describe()
+
+
+def test_a_host_that_writes_no_result_fails_the_launch_by_name(tmp_path):
+    """A host that ran but could not write its outputs (here: a file sits
+    where its output directory goes) is a named launch failure, not an
+    exception out of the merge."""
+    spec = _triangle_spec(tmp_path / "cluster", processes=2, duration=0.3)
+    os.makedirs(spec.run_dir)
+    open(spec.host_dir(1), "w").close()
+    verdict = launch(spec, quiet=True)
+
+    assert not verdict.ok and verdict.hosts == []
+    [failure] = verdict.checker_violations
+    assert failure.startswith("host 1 wrote no result.json: FileExistsError"), failure
+
+
+def test_standalone_serve_of_a_spec_with_an_epoch_runs_as_before(tmp_path):
+    """``repro serve`` of a spec that already carries an epoch needs no
+    launcher: the host starts at that epoch and writes its outputs."""
+    import json
+    import time
+
+    spec = _triangle_spec(tmp_path / "solo", processes=1, duration=0.5)
+    spec.epoch = time.time() + 0.2
+    os.makedirs(spec.run_dir)
+    spec_path = os.path.join(spec.run_dir, "spec.json")
+    with open(spec_path, "w", encoding="utf-8") as stream:
+        stream.write(spec.to_json())
+
+    assert serve(spec_path, 0) == 0
+    with open(os.path.join(spec.host_dir(0), "result.json"), encoding="utf-8") as stream:
+        result = json.load(stream)
+    assert result["epoch"] == spec.epoch
+    assert sum(result["meals"].values()) > 0
 
 
 # ----------------------------------------------------------------------
