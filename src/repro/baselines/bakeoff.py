@@ -118,7 +118,7 @@ def _crash_aware_maps(*, overtaking: bool) -> Dict[str, ExpectedStatuses]:
     return _expected(
         clean=clean,
         crash={**_SAFE, "channel-bound": "pass", "progress": "pass"},
-        churn={**_SAFE, "edge-exclusion": "pass", "progress": "pass"},
+        churn={**_SAFE, "progress": "pass"},
         **{"live-clean": _SAFE, "live-crash": _SAFE},
     )
 
@@ -138,7 +138,7 @@ def _oblivious_maps(
     clean = dict(_SAFE)
     if clean_progress is not None:
         clean["progress"] = clean_progress
-    churn = {**_SAFE, "edge-exclusion": "pass"}
+    churn = dict(_SAFE)
     if churn_progress is not None:
         churn["progress"] = churn_progress
     return _expected(

@@ -19,13 +19,6 @@ from repro.checks.context import (
     active_collector,
     collecting_checks,
 )
-from repro.checks.dynamic import (
-    EDGE_EXCLUSION,
-    EdgeScopedExclusionChecker,
-    EpochChannelBoundChecker,
-    ResidencyProgressChecker,
-    ResidencyQuiescenceChecker,
-)
 from repro.checks.expectations import (
     ExpectedStatuses,
     Mismatch,
@@ -96,7 +89,6 @@ __all__ = [
     "CHANNEL_BOUND",
     "CHECK_EVENT_VERSION",
     "DINER_LOCAL",
-    "EDGE_EXCLUSION",
     "FAIL",
     "FIFO",
     "FORK_UNIQUENESS",
@@ -119,8 +111,6 @@ __all__ = [
     "DinerLocalChecker",
     "DoorwayEvent",
     "DropEvent",
-    "EdgeScopedExclusionChecker",
-    "EpochChannelBoundChecker",
     "ExpectedStatuses",
     "FifoChecker",
     "ForkUniquenessChecker",
@@ -134,8 +124,6 @@ __all__ = [
     "ProgressChecker",
     "PropertyVerdict",
     "QuiescenceChecker",
-    "ResidencyProgressChecker",
-    "ResidencyQuiescenceChecker",
     "SendEvent",
     "SuspicionEvent",
     "Verdict",

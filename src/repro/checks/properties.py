@@ -37,6 +37,11 @@ EATING = "eating"
 HUNGRY = "hungry"
 
 Edge = Tuple[ProcessId, ProcessId]
+#: One edge-existence interval ``(start, end)``; ``end=None`` while the
+#: edge still exists at the horizon.
+Interval = Tuple[float, Optional[float]]
+#: The intervals of an edge that exists throughout the run.
+_ALWAYS: Tuple[Interval, ...] = ((-math.inf, None),)
 
 FORK_UNIQUENESS = "fork-uniqueness"
 DINER_LOCAL = "diner-local"
@@ -386,15 +391,26 @@ class ChannelOccupancy:
 
 
 class ChannelBoundChecker(Checker):
-    """Section 7: at most ``bound`` (= 4) dining messages per edge."""
+    """Section 7: at most ``bound`` (= 4) dining messages per edge.
+
+    Given ``epoch_at`` (a churning run's topology timeline), every
+    witness names the epoch it was observed in.
+    """
 
     name = CHANNEL_BOUND
     interests = (SendEvent, DeliverEvent, DropEvent)
 
-    def __init__(self, bound: int = 4, layer: Optional[str] = "dining") -> None:
+    def __init__(
+        self,
+        bound: int = 4,
+        layer: Optional[str] = "dining",
+        *,
+        epoch_at: Optional[Callable[[float], int]] = None,
+    ) -> None:
         super().__init__()
         self.bound = int(bound)
         self.layer = layer
+        self._epoch_at = epoch_at
         self.occupancy = ChannelOccupancy(layer=layer)
         self._violations: List[Violation] = []
 
@@ -438,14 +454,17 @@ class ChannelBoundChecker(Checker):
         :class:`ChannelOccupancy` (adapters that feed the one occupancy
         instance directly call this only when ``level`` exceeds the
         bound)."""
+        detail = (
+            f"t={time}: {level} {self.layer or 'total'} messages in "
+            f"transit on edge {_edge(src, dst)}, bound is "
+            f"{self.bound} (latest: {message_type} {src}->{dst})"
+        )
+        if self._epoch_at is not None:
+            detail += f" [epoch {self._epoch_at(time)}]"
         violation = Violation(
             prop=self.name,
             time=time,
-            detail=(
-                f"t={time}: {level} {self.layer or 'total'} messages in "
-                f"transit on edge {_edge(src, dst)}, bound is "
-                f"{self.bound} (latest: {message_type} {src}->{dst})"
-            ),
+            detail=detail,
             subject=_edge(src, dst),
             event_index=index,
         )
@@ -662,24 +681,42 @@ class PendingPingChecker(Checker):
 class WxSafetyChecker(Checker):
     """Theorem 1 (◇WX): eventually no two live neighbors eat together.
 
-    Every overlapping-eating window is recorded; at ``finalize`` a window
+    Every overlapping-eating window is recorded; at ``finalize`` it is
+    scoped to the existence intervals of its edge, and a scoped window
     is a violation iff it extends past ``settle`` (with ``settle=None``
     the property is reported informationally: finitely many early
     overlaps never refute an eventual property on their own).
+
+    A static run is the one-epoch case: without ``intervals`` every edge
+    exists throughout.  Under churn ``intervals`` comes
+    from :meth:`~repro.graphs.membership.TopologyTimeline.edge_intervals`
+    over the union edges, so an overlap counts only while its edge
+    exists, and ``epoch_at`` stamps each witness with the topology epoch
+    it was observed in.  A crash (which is also how a leave appears on
+    the trace) ends the pid's eating; a rejoined incarnation's phase
+    events are tracked like anyone else's.
     """
 
     name = WX_SAFETY
     interests = (PhaseChange, Crash)
 
-    def __init__(self, edges: Sequence[Edge], *, settle: Optional[float] = None) -> None:
+    def __init__(
+        self,
+        edges: Sequence[Edge],
+        *,
+        settle: Optional[float] = None,
+        intervals: Optional[Dict[Edge, List[Interval]]] = None,
+        epoch_at: Optional[Callable[[float], int]] = None,
+    ) -> None:
         super().__init__()
         self.settle = settle
+        self._epoch_at = epoch_at
+        self._intervals = intervals
         self._neighbors: Dict[ProcessId, List[ProcessId]] = defaultdict(list)
         for a, b in edges:
             self._neighbors[a].append(b)
             self._neighbors[b].append(a)
         self._eating: Dict[ProcessId, float] = {}
-        self._crashed: set = set()
         # edge -> start of the currently open overlap window
         self._open: Dict[Edge, Tuple[float, int]] = {}
         # closed windows: (edge, start, end, event_index at open)
@@ -689,10 +726,9 @@ class WxSafetyChecker(Checker):
     def observe(self, event, index: int) -> Optional[List[Violation]]:
         self.observed += 1
         if type(event) is Crash:
-            self._crashed.add(event.pid)
             self._stop_eating(event.pid, event.time)
             return None
-        if event.new_phase == EATING and event.pid not in self._crashed:
+        if event.new_phase == EATING:
             self._eating[event.pid] = event.time
             for other in self._neighbors.get(event.pid, ()):
                 if other in self._eating:
@@ -707,6 +743,21 @@ class WxSafetyChecker(Checker):
             start, index = self._open.pop(edge)
             self._windows.append((edge, start, time, index))
 
+    def _scoped(self, edge: Edge, start: float, end: float) -> List[Tuple[float, float]]:
+        """The pieces of ``[start, end)`` during which ``edge`` exists.
+
+        A zero-length window (one neighbor starts eating the instant the
+        other stops) is the point ``start``, kept iff the edge exists then.
+        """
+        spans = _ALWAYS if self._intervals is None else self._intervals.get(edge, ())
+        pieces = []
+        for span_start, span_end in spans:
+            stop = math.inf if span_end is None else span_end
+            lo, hi = max(start, span_start), min(end, stop)
+            if lo < hi or span_start <= start < stop:
+                pieces.append((lo, hi))
+        return pieces
+
     def finalize(self) -> PropertyVerdict:
         horizon = self.horizon if self.horizon is not None else math.inf
         windows = list(self._windows)
@@ -714,10 +765,14 @@ class WxSafetyChecker(Checker):
             (edge, start, horizon, index) for edge, (start, index) in self._open.items()
         ]
         windows.sort(key=lambda w: w[1])
+        scoped = [
+            (edge, lo, hi, index)
+            for edge, start, end, index in windows
+            for lo, hi in self._scoped(edge, start, end)
+        ]
         settle = self.settle
-        late = (
-            [w for w in windows if w[2] > settle] if settle is not None else []
-        )
+        late = [w for w in scoped if w[2] > settle] if settle is not None else []
+        epoch_at = self._epoch_at
         violations = [
             Violation(
                 prop=self.name,
@@ -725,6 +780,7 @@ class WxSafetyChecker(Checker):
                 detail=(
                     f"neighbors {edge[0]} and {edge[1]} ate simultaneously during "
                     f"[{start:g}, {end:g})"
+                    + (f" [epoch {epoch_at(start)}]" if epoch_at is not None else "")
                     + (f", past settle={settle:g}" if settle is not None else "")
                 ),
                 subject=edge,
@@ -734,11 +790,11 @@ class WxSafetyChecker(Checker):
         ]
         verdict = self._verdict(
             violations,
-            overlap_windows_total=len(windows),
+            overlap_windows_total=len(scoped),
             late_windows_total=len(late),
         )
-        if windows:
-            verdict.counters["last_overlap_end"] = max(w[2] for w in windows)
+        if scoped:
+            verdict.counters["last_overlap_end"] = max(w[2] for w in scoped)
         if settle is not None:
             verdict.details["settle"] = settle
         return verdict
@@ -751,6 +807,10 @@ class ProgressChecker(Checker):
     horizon — and began at least ``patience`` before it — is starving.
     With ``patience=None`` the judgement is informational (open sessions
     are merely counted): a finite prefix cannot refute wait-freedom.
+
+    A crash excludes the pid from the correct set, but a leave appears on
+    the trace as a crash too: a phase event after the pid's crash record
+    is its rejoined incarnation, which is readmitted and judged again.
     """
 
     name = PROGRESS
@@ -778,6 +838,7 @@ class ProgressChecker(Checker):
             self._crashed.add(event.pid)
             self._hungry_since.pop(event.pid, None)
             return None
+        self._crashed.discard(event.pid)
         self._seen.add(event.pid)
         if event.new_phase == HUNGRY:
             self._hungry_since[event.pid] = (event.time, index)
@@ -947,10 +1008,13 @@ class QuiescenceChecker(Checker):
     Every post-crash send is recorded; with a ``grace`` window, a
     config-layer send more than ``grace`` after the destination's crash
     is a violation.  ``grace=None`` reports informationally.
+
+    A rejoined destination is alive again (:meth:`note_rebirth`): sends
+    to its fresh incarnation are ordinary traffic.
     """
 
     name = QUIESCENCE
-    interests = (SendEvent, Crash)
+    interests = (SendEvent, Crash, MembershipChange)
 
     def __init__(
         self,
@@ -964,6 +1028,7 @@ class QuiescenceChecker(Checker):
         self.grace = grace
         self._crash_time_of = crash_time_of
         self._crash_times: Dict[ProcessId, Optional[float]] = {}
+        self._reborn: Dict[ProcessId, float] = {}
         self.post_crash_sends: List[PostCrashSend] = []
         self._violations: List[Violation] = []
 
@@ -982,15 +1047,34 @@ class QuiescenceChecker(Checker):
 
         Adapters that defer their :class:`Crash` records to a
         finalize-time replay call this when the crash actually happens,
-        so post-crash sends are still recognised online.
+        so post-crash sends are still recognised online.  A crash record
+        that predates the pid's latest rebirth (that deferred replay
+        re-walks the whole trace) is the old incarnation's, and ignored.
         """
+        if time < self._reborn.get(pid, -math.inf):
+            return
         if self._crash_times.get(pid) is None:
             self._crash_times[pid] = time
+
+    def note_rebirth(self, pid: ProcessId, time: float) -> None:
+        """``pid`` rejoined at ``time``: forget its crash instant.
+
+        Offline replay gets here through the ``rejoin`` membership
+        record; online the shared delta interpreter
+        (:func:`repro.core.assembly.apply_delta`) calls it directly.
+        """
+        self._reborn[pid] = time
+        self._crash_times[pid] = None
 
     def observe(self, event, index: int) -> Optional[List[Violation]]:
         if type(event) is Crash:
             self.observed += 1
             self.note_crash(event.pid, event.time)
+            return None
+        if type(event) is MembershipChange:
+            self.observed += 1
+            if event.verb == "rejoin":
+                self.note_rebirth(event.pid, event.time)
             return None
         violation = self.record_send(
             event.src, event.dst, event.time, event.type, event.layer, index=index

@@ -7,13 +7,14 @@ event).  Both speak distinguishable ``kind`` vocabularies, so
 :func:`load_events_path` accepts either file — or a mix — and
 ``repro check`` can replay any combination of them through the full
 suite.  :func:`merge_events` reproduces the cluster's merge order
-(time-sorted, sends before the departures they race with), which is what
-turns the old merged-staircase reconstruction into a plain check-event
-adapter.
+(time-sorted, each stream in its own order, sends before the departures
+they race with across streams), which is what turns the old
+merged-staircase reconstruction into a plain check-event adapter.
 """
 
 from __future__ import annotations
 
+import heapq
 import json
 from typing import Iterable, List, Optional, Sequence, Tuple
 
@@ -21,6 +22,8 @@ from repro.checks.events import WIRE_EVENT_TYPES, SendEvent
 from repro.checks.suite import CheckConfig, CheckSuite, standard_suite
 from repro.checks.verdict import Verdict
 from repro.errors import ConfigurationError
+from repro.graphs.conflict import ConflictGraph
+from repro.graphs.membership import MembershipDelta, MembershipLog, TopologyTimeline
 from repro.trace.events import (
     Crash,
     DoorwayChange,
@@ -73,33 +76,35 @@ def events_from_wire(records: Iterable[dict]) -> List[object]:
     return [event_from_wire(record) for record in records]
 
 
-def _order_key(event) -> Tuple[float, int, int]:
-    seq = getattr(event, "seq", None)
+def _time(event) -> float:
+    return event.time
+
+
+def _order_key(event) -> Tuple[float, int]:
     if type(event) is MembershipChange:
         # A delta applies at the instant boundary: the sends it enables
         # (the fresh incarnation's first pings land at the same stamp)
         # happen after it, so its link resets must replay first.
-        rank = -1
-    elif type(event) is SendEvent:
-        rank = 0
-    else:
-        rank = 1
-    return (event.time, rank, seq if seq is not None else -1)
+        return (event.time, -1)
+    return (event.time, 0 if type(event) is SendEvent else 1)
 
 
 def merge_events(*streams: Iterable) -> List[object]:
     """Merge event streams into one time-ordered stream.
 
-    Sends sort before same-instant departures (a message is in transit
-    for the instant it spends on a zero-latency local edge), then by
-    sequence number — the exact order the cluster's occupancy
-    reconstruction used, now shared by every offline consumer.
+    Each stream keeps its own order for same-instant events: on a
+    zero-latency edge a reply shares its stamp with the delivery that
+    caused it, and only the stream that recorded both knows which came
+    first.  Across streams, a same-instant membership record goes first,
+    then sends before departures (a message is in transit for the
+    instant it spends on a zero-latency edge), then the earlier stream.
+    ``heapq.merge`` applies exactly that rule to the streams' heads.
     """
-    merged: List[object] = []
-    for stream in streams:
-        merged.extend(stream)
-    merged.sort(key=_order_key)
-    return merged
+    return list(
+        heapq.merge(
+            *(sorted(stream, key=_time) for stream in streams), key=_order_key
+        )
+    )
 
 
 def load_events_lines(lines: Iterable[str]) -> List[object]:
@@ -145,10 +150,50 @@ def replay(
 ) -> Verdict:
     """Run a recorded event stream through the full suite offline.
 
-    State-based properties (fork uniqueness, diner-local invariants)
-    have nothing to probe offline and come back ``skip``.
+    ``edges`` is the initial conflict graph's edge set.  A stream that
+    carries membership records is judged over the topology timeline they
+    describe (:func:`_timeline_from_events`), exactly as the run's own
+    suite judged it online.  State-based properties (fork uniqueness,
+    diner-local invariants) have nothing to probe offline and come back
+    ``skip``.
     """
+    events = list(events)
     if suite is None:
-        suite = standard_suite(edges, config)
+        timeline = _timeline_from_events(edges, events)
+        if timeline is not None:
+            edges = sorted(timeline.union().edges)
+        suite = standard_suite(edges, config, membership=timeline)
     suite.feed(events)
     return suite.finalize(horizon)
+
+
+def _timeline_from_events(
+    edges: Sequence[Edge], events: Sequence
+) -> Optional[TopologyTimeline]:
+    """The topology timeline a stream's own membership records describe.
+
+    ``None`` for a static stream.  Every host of a cluster records each
+    delta, so records are keyed by their epoch.  The initial graph is
+    ``edges`` plus every pid a record names without joining it.
+    """
+    records = {}
+    for event in events:
+        if type(event) is MembershipChange:
+            records.setdefault(event.epoch, event)
+    if not records:
+        return None
+    deltas = []
+    named, joined = set(), set()
+    for _, record in sorted(records.items()):
+        peers = tuple(record.edges)
+        named.add(record.pid)
+        named.update(peers)
+        if record.verb == "join":
+            joined.add(record.pid)
+            deltas.append(MembershipDelta(record.time, "join", record.pid, edges=peers))
+        elif record.verb in ("add_edge", "remove_edge"):
+            deltas.append(MembershipDelta(record.time, record.verb, record.pid, peer=peers[0]))
+        else:
+            deltas.append(MembershipDelta(record.time, record.verb, record.pid))
+    nodes = {pid for edge in edges for pid in edge} | (named - joined)
+    return TopologyTimeline(ConflictGraph(nodes, edges), MembershipLog(deltas))

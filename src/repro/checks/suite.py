@@ -7,13 +7,6 @@ from time import perf_counter
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Type
 
 from repro.checks.base import Checker
-from repro.checks.dynamic import (
-    EDGE_EXCLUSION,
-    EdgeScopedExclusionChecker,
-    EpochChannelBoundChecker,
-    ResidencyProgressChecker,
-    ResidencyQuiescenceChecker,
-)
 from repro.checks.properties import (
     OVERTAKING,
     PROGRESS,
@@ -122,16 +115,12 @@ class CheckSuite:
     ) -> None:
         """Bind the eventual properties' judgement windows before finalize.
 
-        ``settle`` bounds ◇WX (and its edge-scoped variant, which only a
-        dynamic suite carries), ``patience`` wait-freedom, ``after``
+        ``settle`` bounds ◇WX, ``patience`` wait-freedom, ``after``
         ◇2-BW; a window left ``None`` stays as configured (default:
         informational).
         """
         if settle is not None:
             self.checker(WX_SAFETY).settle = settle
-            for checker in self.checkers:
-                if checker.name == EDGE_EXCLUSION:
-                    checker.settle = settle
         if patience is not None:
             self.checker(PROGRESS).patience = patience
         if after is not None:
@@ -242,7 +231,6 @@ def standard_suite(
     diner_locals: bool = True,
     on_violation: Optional[Callable[[Violation], None]] = None,
     profile: bool = False,
-    dynamic: bool = False,
     membership=None,
 ) -> CheckSuite:
     """The full paper-property suite over a conflict graph's edge set.
@@ -254,84 +242,52 @@ def standard_suite(
     additionally omits the Algorithm-1-specific local invariants for
     tables running baseline diners that lack the probed fields.
 
-    ``dynamic=True`` composes the epoched-membership variants instead
-    (see :mod:`repro.checks.dynamic`): ``edges`` must then be the *union*
-    edge set (every edge that ever exists) and ``membership`` a
-    :class:`~repro.graphs.membership.TopologyTimeline` (duck-typed:
-    ``edge_intervals()``, ``epoch_at``, ``final()``).  ◇WX splits into
-    edge-scoped exclusion over all union edges plus the classic checker
-    over the edges that exist throughout the run; overtaking is judged
-    on the final topology; progress and quiescence become
-    rebirth-aware.
+    A churning run passes its
+    :class:`~repro.graphs.membership.TopologyTimeline` as ``membership``
+    (duck-typed: ``edge_intervals()``, ``epoch_at``, ``final()``) and the
+    *union* edge set (every edge that ever exists) as ``edges``.  The
+    checkers are the same ones a static run gets: ◇WX scopes each
+    overlap to its edge's existence intervals, overtaking is judged on
+    the final topology, and witnesses name their epoch.  A static run is
+    the one-epoch case, every edge existing throughout.
     """
     config = config or CheckConfig()
     edges = tuple(sorted(tuple(sorted(edge)) for edge in edges))
-    if dynamic and membership is None:
-        raise ValueError("dynamic suite requires a membership timeline")
+    intervals = epoch_at = None
+    final_edges = edges
+    if membership is not None:
+        intervals = membership.edge_intervals()
+        epoch_at = membership.epoch_at
+        final_edges = tuple(sorted(membership.final().graph.edges))
     checkers: List[Checker] = []
     if state_probes:
         checkers.append(ForkUniquenessChecker(edges))
         if diner_locals:
             checkers.append(DinerLocalChecker())
-    if dynamic:
-        intervals = membership.edge_intervals()
-        epoch_at = membership.epoch_at
-        stable = tuple(
-            edge for edge in edges if intervals.get(edge) == [(0.0, None)]
+    checkers.append(
+        ChannelBoundChecker(
+            bound=config.channel_bound, layer=config.layer, epoch_at=epoch_at
         )
-        final_edges = tuple(sorted(membership.final().graph.edges))
-        checkers.append(
-            EpochChannelBoundChecker(
-                bound=config.channel_bound, layer=config.layer, epoch_at=epoch_at
-            )
+    )
+    checkers.append(FifoChecker())
+    checkers.append(
+        WxSafetyChecker(
+            edges, settle=config.settle, intervals=intervals, epoch_at=epoch_at
         )
-        checkers.append(FifoChecker())
-        checkers.append(
-            EdgeScopedExclusionChecker(
-                intervals, settle=config.settle, epoch_at=epoch_at
-            )
+    )
+    checkers.append(ProgressChecker(patience=config.patience, correct=config.correct))
+    checkers.append(
+        OvertakingChecker(
+            final_edges, bound=config.overtaking_bound, after=config.overtaking_after
         )
-        checkers.append(WxSafetyChecker(stable, settle=config.settle))
-        checkers.append(
-            ResidencyProgressChecker(
-                patience=config.patience, correct=config.correct
-            )
+    )
+    checkers.append(
+        QuiescenceChecker(
+            layer=config.layer,
+            grace=config.quiescence_grace,
+            crash_time_of=config.crash_time_of,
         )
-        checkers.append(
-            OvertakingChecker(
-                final_edges,
-                bound=config.overtaking_bound,
-                after=config.overtaking_after,
-            )
-        )
-        checkers.append(
-            ResidencyQuiescenceChecker(
-                layer=config.layer,
-                grace=config.quiescence_grace,
-                crash_time_of=config.crash_time_of,
-            )
-        )
-    else:
-        checkers.append(
-            ChannelBoundChecker(bound=config.channel_bound, layer=config.layer)
-        )
-        checkers.append(FifoChecker())
-        checkers.append(WxSafetyChecker(edges, settle=config.settle))
-        checkers.append(
-            ProgressChecker(patience=config.patience, correct=config.correct)
-        )
-        checkers.append(
-            OvertakingChecker(
-                edges, bound=config.overtaking_bound, after=config.overtaking_after
-            )
-        )
-        checkers.append(
-            QuiescenceChecker(
-                layer=config.layer,
-                grace=config.quiescence_grace,
-                crash_time_of=config.crash_time_of,
-            )
-        )
+    )
     if diner_locals:
         checkers.append(PendingPingChecker())
     return CheckSuite(

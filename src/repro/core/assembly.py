@@ -92,7 +92,6 @@ class Wiring:
             config,
             diner_locals=diner_locals,
             on_violation=on_violation,
-            dynamic=self.dynamic,
             membership=self.timeline,
         )
 
@@ -111,16 +110,15 @@ def _forgive(seat, verb: str, pid: ProcessId, edges: tuple = ()) -> None:
     (the old incarnation's unanswered ping would make a survivor's first
     post-reset ping look like a duplicate), and on rejoin the quiescence
     ledger forgets the old crash instant — sends to the rejoined pid are
-    ordinary traffic again (only the dynamic suite's checker can).
+    ordinary traffic again.
     """
     if seat.checks is None:
         return
     by_name = {checker.name: checker for checker in seat.checks.checkers}
     if PENDING_PING in by_name:
         by_name[PENDING_PING].retire_stale(verb, pid, edges)
-    quiescence = by_name.get(QUIESCENCE)
-    if verb == "rejoin" and hasattr(quiescence, "note_rebirth"):
-        quiescence.note_rebirth(pid, seat.now)
+    if verb == "rejoin" and QUIESCENCE in by_name:
+        by_name[QUIESCENCE].note_rebirth(pid, seat.now)
 
 
 def apply_delta(seat, delta: MembershipDelta) -> None:

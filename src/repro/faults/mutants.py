@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from types import MethodType
 from typing import Callable, Dict, List, Tuple
 
-from repro.checks.dynamic import EDGE_EXCLUSION
 from repro.checks.properties import (
     CHANNEL_BOUND,
     DINER_LOCAL,
@@ -335,10 +334,10 @@ _register(Mutant(
     name="unreclaimed-leave",
     description="neighbor_rejoined dropped: survivors substitute for a returned neighbor forever",
     cls=UnreclaimedLeaveDiner,
-    # The unreclaimed link either lets both endpoints eat at once
-    # (edge-scoped exclusion) or duplicates the fork the survivor
+    # The unreclaimed link either lets both endpoints eat at once while
+    # their edge exists (◇WX) or duplicates the fork the survivor
     # substituted while the fresh incarnation minted its own.
-    expected=(EDGE_EXCLUSION, FORK_UNIQUENESS),
+    expected=(WX_SAFETY, FORK_UNIQUENESS),
     needs_churn=True,
 ))
 _register(Mutant(

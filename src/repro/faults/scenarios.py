@@ -175,7 +175,7 @@ def run_fuzz_differential(
 
 @register_scenario(
     "churn_sweep",
-    title="Churn — sampled membership schedules under the dynamic suite",
+    title="Churn — sampled membership schedules judged over their topology timeline",
     claim=CHURN_CLAIM,
     columns=(
         "topology",

@@ -25,8 +25,7 @@ The replay model keeps, per node, a *latent* neighbor set plus an
 
 :class:`TopologyTimeline` binds an initial graph to a log and answers
 the queries the rest of the stack needs: the view (and epoch) at an
-instant, per-edge existence intervals, per-node residency intervals,
-and the *union graph* — every node and edge that ever exists, which is
+instant, per-edge existence intervals, and the *union graph* — every node and edge that ever exists, which is
 what colorings and failure detectors are built over so that a process
 joining at epoch 7 already has a priority color distinct from all its
 eventual neighbors.  When the log is empty the union **is** the initial
@@ -278,10 +277,6 @@ class TopologyTimeline:
     # Queries
     # ------------------------------------------------------------------
     @property
-    def dynamic(self) -> bool:
-        return bool(self.log)
-
-    @property
     def final_epoch(self) -> int:
         return len(self._views) - 1
 
@@ -300,9 +295,6 @@ class TopologyTimeline:
 
     def epoch_at(self, time: float) -> int:
         return self.view_at(time).epoch
-
-    def graph_at(self, time: float) -> ConflictGraph:
-        return self.view_at(time).graph
 
     def final(self) -> TopologyView:
         return self._views[-1]
@@ -335,8 +327,7 @@ class TopologyTimeline:
         """Per-edge existence intervals ``[(start, end-or-None), ...]``.
 
         ``None`` ends an interval still open at the final epoch.  The
-        dynamic edge-scoped exclusion checker judges overlap windows
-        against these.
+        ◇WX checker scopes overlap windows to these.
         """
         intervals: Dict[Edge, List[Tuple[float, Optional[float]]]] = {}
         open_since: Dict[Edge, float] = {}
@@ -351,46 +342,6 @@ class TopologyTimeline:
         for edge, start in sorted(open_since.items()):
             intervals.setdefault(edge, []).append((start, None))
         return intervals
-
-    def residency_intervals(self) -> Dict[ProcessId, List[Tuple[float, Optional[float]]]]:
-        """Per-node residency intervals, same shape as edge intervals."""
-        intervals: Dict[ProcessId, List[Tuple[float, Optional[float]]]] = {}
-        open_since: Dict[ProcessId, float] = {}
-        current: set = set()
-        for view in self._views:
-            nodes = set(view.graph.nodes)
-            for pid in nodes - current:
-                open_since[pid] = view.time
-            for pid in current - nodes:
-                intervals.setdefault(pid, []).append((open_since.pop(pid), view.time))
-            current = nodes
-        for pid, start in sorted(open_since.items()):
-            intervals.setdefault(pid, []).append((start, None))
-        return intervals
-
-    def residents_throughout(self, start: float = 0.0) -> Tuple[ProcessId, ...]:
-        """Nodes continuously resident from ``start`` to the final epoch.
-
-        The residency-conditioned progress judgement holds only these
-        to the starvation-freedom standard; a process that departs (or
-        arrives late and departs again) is excluded the way a crashed
-        process is.
-        """
-        out = []
-        for pid, spans in sorted(self.residency_intervals().items()):
-            last = spans[-1]
-            if last[1] is None and last[0] <= start:
-                out.append(pid)
-        return tuple(out)
-
-    def stable_window(self) -> float:
-        """When the final (stable) epoch begins — 0.0 for a static log.
-
-        Judgement windows for eventual properties are anchored past
-        this: fairness/progress are conditioned on the topology's last
-        stable interval, per the Daymude–Richa framing.
-        """
-        return self.log.last_time()
 
     def describe(self) -> str:
         return (

@@ -36,12 +36,12 @@ class TestExpectedStatuses:
         ]
 
     def test_absent_pinned_property_is_a_mismatch(self):
-        expected = ExpectedStatuses({"edge-exclusion": "pass"})
+        expected = ExpectedStatuses({"overtaking": "pass"})
         (mismatch,) = expected.mismatches({"progress": "pass"})
         assert mismatch.actual == "absent"
 
     def test_require_present_false_tolerates_absence(self):
-        expected = ExpectedStatuses({"edge-exclusion": "pass"}, require_present=False)
+        expected = ExpectedStatuses({"overtaking": "pass"}, require_present=False)
         assert expected.matches({"progress": "pass"})
 
     def test_rejects_unpinnable_status(self):

@@ -13,7 +13,6 @@ import pytest
 
 from repro.checks import (
     CHANNEL_BOUND,
-    EDGE_EXCLUSION,
     FIFO,
     FORK_UNIQUENESS,
     OVERTAKING,
@@ -28,6 +27,7 @@ from repro.checks import (
     DropEvent,
     FifoChecker,
     ForkUniquenessChecker,
+    MembershipEvent,
     OvertakingChecker,
     PhaseEvent,
     ProbeEvent,
@@ -175,6 +175,13 @@ class TestChannelBound:
         assert verdict.counters["max_in_transit"] == 2
         assert verdict.details["edge_peaks"] == {"0-1": 2}
 
+    def test_witness_names_its_epoch_under_churn(self):
+        suite = CheckSuite([ChannelBoundChecker(bound=1, epoch_at=lambda t: 3)])
+        suite.observe(_send(0.0, 0, 1))
+        suite.observe(_send(0.5, 0, 1))
+        witness = suite.finalize().property(CHANNEL_BOUND).first_violation
+        assert witness.detail.endswith("[epoch 3]")
+
 
 # ----------------------------------------------------------------------
 # FIFO/no-loss (the channel assumption)
@@ -286,6 +293,42 @@ class TestWxSafety:
         suite.observe(PhaseEvent(2.0, 1, "hungry", "eating"))
         assert suite.finalize(20.0).property(WX_SAFETY).status == "pass"
 
+    # Edge (0, 1) appears at t=10 (epoch 1) in both cases below.
+    @staticmethod
+    def _overlap_on_edge_from_10(start):
+        checker = WxSafetyChecker(
+            [(0, 1)],
+            settle=0.0,
+            intervals={(0, 1): [(10.0, None)]},
+            epoch_at=lambda t: 1 if t >= 10.0 else 0,
+        )
+        suite = CheckSuite([checker])
+        suite.feed(
+            _phases(
+                (start, 0, "hungry", "eating"),
+                (start + 0.5, 1, "hungry", "eating"),
+                (start + 4.0, 0, "eating", "thinking"),
+            )
+        )
+        return suite.finalize(20.0).property(WX_SAFETY)
+
+    def test_overlap_before_its_edge_exists_is_ignored(self):
+        verdict = self._overlap_on_edge_from_10(1.0)
+        assert verdict.status == "pass"
+        assert verdict.counters["overlap_windows_total"] == 0
+
+    def test_overlap_while_its_edge_exists_is_convicted_with_its_epoch(self):
+        verdict = self._overlap_on_edge_from_10(11.0)
+        assert verdict.status == "fail"
+        assert verdict.first_violation.subject == (0, 1)
+        assert "[epoch 1]" in verdict.first_violation.detail
+
+    def test_overlap_is_cut_to_the_edges_existence(self):
+        verdict = self._overlap_on_edge_from_10(8.0)
+        assert verdict.status == "fail"
+        assert verdict.first_violation.time == 10.0
+        assert verdict.counters["last_overlap_end"] == 12.0
+
 
 class TestProgress:
     def test_starving_diner_fails(self):
@@ -308,6 +351,17 @@ class TestProgress:
         suite.observe(PhaseEvent(1.0, 0, "thinking", "hungry"))
         suite.observe(CrashEvent(2.0, 0))
         assert suite.finalize(20.0).property(PROGRESS).status == "pass"
+
+    def test_rejoined_diner_is_judged_again(self):
+        # A leave is a crash record; the phase events after it belong to
+        # the rejoined incarnation, whose meals are owed again.
+        suite = CheckSuite([ProgressChecker(patience=5.0, correct=[0])])
+        suite.observe(PhaseEvent(1.0, 0, "thinking", "hungry"))
+        suite.observe(CrashEvent(2.0, 0))
+        suite.observe(PhaseEvent(3.0, 0, "thinking", "hungry"))
+        verdict = suite.finalize(20.0).property(PROGRESS)
+        assert verdict.status == "fail"
+        assert verdict.details["starving"] == [0]
 
     def test_recent_waiter_within_patience_passes(self):
         suite = CheckSuite([ProgressChecker(patience=5.0, correct=[0])])
@@ -383,6 +437,18 @@ class TestQuiescence:
         verdict = suite.finalize(10.0).property(QUIESCENCE)
         assert verdict.status == "pass"
         assert verdict.counters["last_post_crash_send"] == 5.0
+
+    def test_sends_to_a_rejoined_destination_are_ordinary_traffic(self):
+        suite = CheckSuite([QuiescenceChecker(grace=1.0)])
+        suite.observe(CrashEvent(1.0, 1))
+        suite.observe(MembershipEvent(3.0, 2, "rejoin", 1))
+        suite.observe(_send(5.0, 0, 1, type="Ping"))
+        # A deferred replay re-walks the old incarnation's crash record.
+        suite.observe(CrashEvent(1.0, 1))
+        suite.observe(_send(6.0, 0, 1, type="Ping"))
+        verdict = suite.finalize(10.0).property(QUIESCENCE)
+        assert verdict.status == "pass"
+        assert verdict.counters["post_crash_sends_total"] == 0
 
 
 # ----------------------------------------------------------------------
@@ -535,14 +601,14 @@ class TestReplay:
 class TestBindWindows:
     """One place binds the eventual properties' windows on both substrates."""
 
-    def test_static_suite_has_no_edge_scoped_checker_to_bind(self):
+    def test_static_suite_binds_each_eventual_window_on_its_one_checker(self):
         suite = standard_suite([(0, 1), (1, 2)])
         suite.bind_windows(settle=7.0, patience=30.0, after=9.0)
         assert suite.checker(WX_SAFETY).settle == 7.0
         assert suite.checker(PROGRESS).patience == 30.0
         assert suite.checker(OVERTAKING).after == 9.0
-        with pytest.raises(KeyError):
-            suite.checker(EDGE_EXCLUSION)
+        names = [checker.name for checker in suite.checkers]
+        assert len(names) == len(set(names))
 
     def test_none_leaves_a_window_as_configured(self):
         suite = standard_suite([(0, 1)], CheckConfig(settle=3.0, patience=11.0))
@@ -551,16 +617,15 @@ class TestBindWindows:
         assert suite.checker(PROGRESS).patience == 11.0
         assert suite.checker(OVERTAKING).after == 5.0
 
-    def test_dynamic_suite_binds_settle_on_both_exclusion_checkers(self):
+    def test_churn_suite_binds_settle_on_its_one_wx_safety_checker(self):
         log = MembershipLog([MembershipDelta(time=4.0, verb="leave", pid=2)])
         timeline = TopologyTimeline(ring(4), log)
-        suite = standard_suite(
-            sorted(timeline.union().edges), dynamic=True, membership=timeline
-        )
+        suite = standard_suite(sorted(timeline.union().edges), membership=timeline)
         suite.bind_windows(settle=12.0)
         assert suite.checker(WX_SAFETY).settle == 12.0
-        assert suite.checker(EDGE_EXCLUSION).settle == 12.0
         assert suite.checker(PROGRESS).patience is None
+        static = standard_suite(sorted(ring(4).edges))
+        assert [c.name for c in suite.checkers] == [c.name for c in static.checkers]
 
     def test_bound_settle_turns_a_late_overlap_into_a_failure(self):
         suite = standard_suite([(0, 1)], state_probes=False, diner_locals=False)

@@ -114,6 +114,27 @@ def test_wire_log_replays_offline():
     assert verdict.property("channel-bound").status == "pass"
 
 
+def test_trace_and_wire_replay_count_the_online_occupancy():
+    """Offline replay of a run's trace plus wire log sees exactly the
+    channel occupancy the online checker saw: on a zero-latency hop a
+    reply shares its stamp with the delivery that caused it, and must
+    not jump ahead of it."""
+    from repro.checks import events_from_trace, events_from_wire, merge_events
+
+    plans = [sample_plan(topology="ring", n=6, seed=0, index=i) for i in range(10)]
+    plans.append(plans[0].with_(mutant="greedy-eater"))
+    for plan in plans:
+        result = run_plan_kernel(plan, stop_on_violation=False)
+        edges = sorted(topologies.by_name(plan.topology, plan.n, seed=plan.seed).edges)
+        events = merge_events(
+            events_from_trace(result.trace), events_from_wire(result.wire)
+        )
+        offline = replay(edges, events, horizon=plan.horizon).property("channel-bound")
+        online = result.verdict.property("channel-bound")
+        assert offline.counters["max_in_transit"] == online.counters["max_in_transit"]
+        assert offline.details["edge_peaks"] == online.details["edge_peaks"]
+
+
 def test_kernel_wire_log_carries_the_networks_own_sequence_numbers():
     """Across rejoin fences the kernel wire log's ``seq`` values — read
     off the network — equal an independent per-channel count (number at

@@ -12,6 +12,7 @@ from repro.faults import (
     FaultPlan,
     FlapSpec,
     LatencySpec,
+    sample_plan,
     shrink_plan,
     write_witness,
 )
@@ -81,6 +82,35 @@ def test_witness_replays_as_fail_through_repro_check(tmp_path, capsys):
     out = capsys.readouterr().out
     assert exit_code == 1
     assert "wx-safety" in out and "FAIL" in out
+
+
+def test_churn_witness_replays_as_fail_through_repro_check(tmp_path, capsys):
+    """``repro check`` rebuilds the topology timeline from the stream's
+    own membership records: the rejoined pid is alive again, and ◇WX is
+    judged over the edges' existence intervals."""
+    plan = sample_plan(topology="ring", n=6, seed=0, index=7)
+    shrunk = shrink_plan(plan.with_(mutant="unreclaimed-leave"))
+    assert shrunk.plan.membership
+    directory = write_witness(shrunk.result, str(tmp_path / "wit"), shrink=shrunk)
+
+    with open(os.path.join(directory, "README.md"), encoding="utf-8") as fh:
+        command = next(line for line in fh if line.startswith("repro check"))
+    argv = command.split()[1:]
+    argv[1] = os.path.join(directory, argv[1])  # trace.jsonl
+    argv[2] = os.path.join(directory, argv[2])  # wire.jsonl
+    argv += ["--json", str(tmp_path / "offline.json")]
+    assert cli_main(argv) == 1
+    capsys.readouterr()
+    with open(tmp_path / "offline.json", encoding="utf-8") as fh:
+        offline = json.load(fh)["properties"]
+    online = shrunk.result.verdict.properties
+    assert offline["wx-safety"]["status"] == "fail"
+    assert "[epoch" in offline["wx-safety"]["violations"][0]["detail"]
+    # Sends to the rejoined pid are ordinary traffic again, as online.
+    assert (
+        offline["quiescence"]["counters"]["post_crash_sends_total"]
+        == online["quiescence"].counters["post_crash_sends_total"]
+    )
 
 
 def test_witness_verdict_json_matches_run(tmp_path):

@@ -12,8 +12,8 @@ Three layers of coverage:
   way the online adapters do (join/rejoin/add_edge forgive, leave does
   not — stale traffic toward a departed pid must stay countable).
 * **Acceptance runs** — a clean ring-6 churn plan exercising every verb
-  PASSes ``standard_suite(dynamic=True)`` on the kernel, the seeded
-  ``unreclaimed-leave`` mutant FAILs edge-scoped exclusion with an
+  PASSes the standard suite on the kernel, judged over its topology
+  timeline, the seeded ``unreclaimed-leave`` mutant FAILs ◇WX with an
   epoch-stamped witness, kernel and live substrates agree property by
   property on the same churn plan *and* record the same
   ``membership_change`` sequence and final neighbor sets (one delta
@@ -32,8 +32,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.checks import (
-    EDGE_EXCLUSION,
     PROGRESS,
+    WX_SAFETY,
     MembershipEvent,
     SendEvent,
     events_from_trace,
@@ -309,22 +309,31 @@ def _ring6_churn_plan(**overrides) -> FaultPlan:
 def test_clean_ring6_churn_passes_dynamic_suite():
     result = run_plan_kernel(_ring6_churn_plan())
     assert result.ok, result.verdict.describe()
-    # The dynamic suite actually ran (edge-scoped exclusion judged it).
-    assert result.verdict.properties[EDGE_EXCLUSION].status == "pass"
+    # ◇WX judged the churn over its edges' existence intervals.
+    assert result.verdict.properties[WX_SAFETY].status == "pass"
     # The joiner ate after arriving; the bounced pid ate after rejoining.
     assert result.meals.get(6, 0) > 0
     assert result.meals.get(2, 0) > 0
 
 
-def test_unreclaimed_leave_mutant_fails_edge_exclusion_with_epoch_witness():
+def test_churn_verdict_names_the_same_properties_as_a_static_one():
+    """A static run is the one-epoch case of a churning run: one checker
+    per property judges both, so neither verdict has a name the other
+    lacks."""
+    churn = run_plan_kernel(_ring6_churn_plan())
+    static = run_plan_kernel(_ring6_churn_plan(membership=()))
+    assert sorted(churn.verdict.properties) == sorted(static.verdict.properties)
+
+
+def test_unreclaimed_leave_mutant_fails_wx_safety_with_epoch_witness():
     # The sampler's ring-6 index 7 (a rolling-restart shape with a
     # leave/rejoin bounce) is the deterministic plan the mutation
     # campaign kills this mutant with.
     plan = sample_plan(topology="ring", n=6, seed=0, index=7)
     assert any(m.verb == "rejoin" for m in plan.membership)
     result = run_plan_kernel(plan.with_(mutant="unreclaimed-leave"))
-    assert EDGE_EXCLUSION in result.failed, result.verdict.describe()
-    witness = result.verdict.properties[EDGE_EXCLUSION].first_violation
+    assert WX_SAFETY in result.failed, result.verdict.describe()
+    witness = result.verdict.properties[WX_SAFETY].first_violation
     assert witness is not None
     assert "epoch" in witness.detail
 
@@ -421,7 +430,7 @@ def test_three_process_cluster_join_and_leave(tmp_path):
     """Ring-6 over 3 unix-socket processes: pid 6 joins at 0.8s, pid 2
     leaves at 1.2s.  The joined node must eat, and the departed node's
     forks must be reclaimed — its neighbors keep eating, so the merged
-    residency-conditioned progress property passes."""
+    progress property, owed by the final residents, passes."""
     spec = ClusterSpec(
         topology="ring",
         n=6,
@@ -448,7 +457,7 @@ def test_three_process_cluster_join_and_leave(tmp_path):
             meals[int(pid)] = meals.get(int(pid), 0) + int(count)
     assert meals.get(6, 0) > 0  # the joined node eats
     # The leaver's forks were reclaimed: both ring neighbors keep making
-    # progress, and the dynamic suite holds residents starvation-free.
+    # progress, and the suite holds residents starvation-free.
     assert meals.get(1, 0) > 0 and meals.get(3, 0) > 0
     assert verdict.checks.properties[PROGRESS].status == "pass"
-    assert verdict.checks.properties[EDGE_EXCLUSION].status == "pass"
+    assert verdict.checks.properties[WX_SAFETY].status == "pass"
