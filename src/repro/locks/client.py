@@ -127,7 +127,8 @@ class LockClient:
         self._pending[session] = future
         started = time.perf_counter()
         try:
-            self._send(session, 1, LeaseRequest(session, resource, ttl_ms))
+            if not self._send(session, 1, LeaseRequest(session, resource, ttl_ms)):
+                raise ConnectionError("lease connection is closed")
             message, context = await asyncio.wait_for(future, timeout)
         finally:
             self._pending.pop(session, None)
@@ -152,17 +153,18 @@ class LockClient:
         )
 
     async def release(self, outcome: LeaseOutcome) -> None:
-        """Return a granted lease early (fire-and-forget by design)."""
+        """Return a granted lease early; fire-and-forget, so a closed connection is fine."""
         if not outcome.granted:
             raise ValueError("cannot release a denied outcome")
         self._send(outcome.session, 2, LeaseRelease(outcome.session, outcome.lease_id))
 
     # ------------------------------------------------------------------
-    def _send(self, session: int, seq: int, message) -> None:
+    def _send(self, session: int, seq: int, message) -> bool:
         writer = self._writer
         if writer is None or writer.is_closing():
-            raise ConnectionError("lease connection is closed")
+            return False
         writer.write(encode_frame(session, 0, seq, message))
+        return True
 
     async def _read_loop(self) -> None:
         decoder = FrameDecoder(capture_context=True)
@@ -180,6 +182,8 @@ class LockClient:
             pass
         finally:
             if not self._closed:
+                # Close our side too, so a later acquire fails at once.
+                self._writer.close()
                 self._fail_pending(ConnectionError("lease connection lost"))
 
     def _fail_pending(self, error: Exception) -> None:

@@ -150,3 +150,38 @@ def test_a_request_that_beats_the_epoch_waits_for_the_start(tmp_path):
     assert min(record.time for record in host.trace) >= 0.0
     assert min(event.time for event in host.wire_events) >= 0.0
     assert host.result()["violations"] == []
+
+
+def test_release_on_a_closed_connection_is_quiet_but_acquire_raises(tmp_path):
+    """``release`` is fire-and-forget: once the serving host has stopped
+    and its connection is gone, releasing a granted lease returns quietly
+    (the service abandoned the session with the connection), while a new
+    ``acquire`` still raises ``ConnectionError`` at once, so an unserved
+    session counts as failed."""
+    spec = _serving_spec("unix", str(tmp_path / "run"))
+    spec.duration = 1.0
+    os.makedirs(spec.run_dir, exist_ok=True)
+    host = build_host(spec, 0)
+
+    async def scenario():
+        runner = asyncio.ensure_future(host.run())
+        try:
+            client = await _connect(spec.transport, spec.addresses[0], client_index=0)
+            held = await client.acquire("r1", ttl_ms=100, timeout=5.0)
+        finally:
+            await runner
+        # The host closed the connection on shutdown; the client sees EOF
+        # and closes its side, so no write below reaches a socket.
+        await asyncio.wait_for(client._reader_task, 5.0)
+        assert client._writer.is_closing()
+        await client.release(held)
+        started = time.perf_counter()
+        with pytest.raises(ConnectionError):
+            await client.acquire("r1", ttl_ms=100, timeout=5.0)
+        assert time.perf_counter() - started < 1.0
+        await client.close()
+        return held
+
+    held = asyncio.run(scenario())
+    assert held.granted, held.reason
+    assert host.result()["locks"]["leaked_leases"] == 0
