@@ -35,9 +35,9 @@ text exposition when the path ends in ``.prom``).
 ``cluster`` runs Algorithm 1 *live*: one OS process per host, real
 sockets, a wall-clock heartbeat ◇P₁, then the merged safety/fairness
 verdict and a Prometheus rendering of the combined metrics (exit 0 only
-on a clean run).  ``serve`` is its per-host child entry point, also
-usable standalone against a hand-written spec.  With ``--serve-locks``
-every host additionally exposes the lease service of
+on a clean run); its hosts are forks of the launcher.  ``serve`` runs
+one host standalone, from a spec that already carries an epoch.  With
+``--serve-locks`` every host additionally exposes the lease service of
 :mod:`repro.locks`: named resources mapped onto conflict-graph diners,
 granted to clients by the unchanged Algorithm 1.
 
@@ -750,9 +750,13 @@ def cmd_cluster(args: argparse.Namespace) -> int:
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
+    from repro.errors import LaunchError
     from repro.net.cluster import serve
 
-    return serve(args.spec, args.host_index, output_dir=args.output)
+    try:
+        return serve(args.spec, args.host_index, output_dir=args.output)
+    except LaunchError as exc:
+        raise SystemExit(f"repro serve: {exc}") from None
 
 
 # ----------------------------------------------------------------------
@@ -1140,7 +1144,7 @@ def build_parser() -> argparse.ArgumentParser:
     loadgen.set_defaults(func=cmd_loadgen)
 
     serve = sub.add_parser(
-        "serve", help="run one host of a launched cluster (child entry point)"
+        "serve", help="run one host of a cluster spec that carries an epoch"
     )
     serve.add_argument("--spec", required=True, help="path to the cluster spec.json")
     serve.add_argument("--host-index", type=int, required=True)

@@ -5,11 +5,11 @@
 real sockets, then merges what every host recorded into one verdict:
 
 1. **Launch** — :func:`launch` writes ``spec.json`` into a run directory
-   (topology, placement, per-host addresses), spawns one ``repro serve``
-   process per host, stamps the shared epoch once every host reports
+   (topology, placement, per-host addresses), forks one process per host
+   from the launcher, stamps the shared epoch once every host reports
    ready (listening and dialled), and waits for them all.
-2. **Serve** — :func:`serve` (the child entry point) rebuilds the host
-   from the spec, runs it, and dumps ``trace.jsonl`` / ``wire.jsonl`` /
+2. **Serve** — :func:`serve` (a forked host's body; ``repro serve`` of a
+   spec with an epoch) rebuilds the host from the spec, runs it, and dumps ``trace.jsonl`` / ``wire.jsonl`` /
    ``metrics.json`` / ``result.json`` into its own output directory.
 3. **Merge** — :func:`merge_run` recombines the per-host outputs.  Trace
    records and wire logs carry the shared-epoch clock, so converting
@@ -39,10 +39,11 @@ import math
 import os
 import pathlib
 import select
+import signal
 import socket
-import subprocess
 import sys
 import time
+import traceback
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional
 
@@ -339,21 +340,25 @@ def build_host(spec: ClusterSpec, host_index: int) -> AsyncHost:
     return host
 
 
-def serve(spec_path: str, host_index: int, output_dir: Optional[str] = None) -> int:
-    """Run one host of a launched cluster; the ``repro serve`` body.
+def serve(spec_path: str, host_index: int, output_dir: Optional[str] = None,
+          launcher: Optional[socket.socket] = None) -> int:
+    """Run one host of a launched cluster; a forked host's body.
 
-    A spec without an epoch gets one from :func:`start_cluster`'s handshake."""
+    A forked host gets the epoch over ``launcher``, its socket-pair end;
+    a standalone one (``repro serve``) needs a spec that carries it."""
     spec = ClusterSpec.load(spec_path)
+    if spec.epoch is None and launcher is None:
+        raise LaunchError(f"{spec_path} has no epoch, and only start_cluster can stamp one")
     host = build_host(spec, host_index)
-    asyncio.run(host.run(_launcher_epoch if spec.epoch is None else None))
+    asyncio.run(host.run(None if launcher is None else lambda: _launcher_epoch(launcher)))
     host.write_outputs(output_dir or spec.host_dir(host_index))
     return 1 if host.violations or not host.verdict().ok else 0
 
 
-async def _launcher_epoch() -> float:
-    """Write ``ready`` on stdin (the launcher's socket); read the epoch back."""
+async def _launcher_epoch(channel: socket.socket) -> float:
+    """Write ``ready`` to the launcher; read the epoch it sends back."""
     loop = asyncio.get_running_loop()
-    with socket.socket(fileno=0) as channel:
+    with channel:
         channel.setblocking(False)
         await loop.sock_sendall(channel, b"ready\n")
         line = b""
@@ -390,7 +395,7 @@ def _allocate_addresses(spec: ClusterSpec) -> Dict[int, object]:
 
 @dataclass
 class ClusterHandle:
-    """A started cluster: children still serving, outputs not yet merged.
+    """A started cluster: hosts still serving, outputs not yet merged.
 
     :func:`start_cluster` returns one so a caller (``repro loadgen``) can
     drive live traffic against the hosts *while they run*, then
@@ -399,26 +404,31 @@ class ClusterHandle:
 
     spec: ClusterSpec
     spec_path: str
-    children: List[object] = field(default_factory=list)
-    #: Each host's spawn instant and spawn-to-ready seconds (import, bind, dial).
+    children: List[int] = field(default_factory=list)
+    #: Each host's fork instant and fork-to-ready seconds (fork, build, bind, dial).
     spawned_at: List[float] = field(default_factory=list)
     ready_s: List[float] = field(default_factory=list)
 
 
 def _last_line(handle: ClusterHandle, index: int) -> str:
     """The last line host ``index`` logged: how it died, when it did."""
-    with open(handle.children[index][1].name, "r", encoding="utf-8", errors="replace") as stream:
+    log = os.path.join(handle.spec.run_dir, f"host-{index}.log")
+    with open(log, "r", encoding="utf-8", errors="replace") as stream:
         lines = [line.strip() for line in stream if line.strip()]
     return lines[-1] if lines else "(no output)"
 
 
 def start_cluster(spec: ClusterSpec) -> ClusterHandle:
-    """Spawn every host as its own OS process; start them on one epoch.
+    """Fork every host from this process; start them on one epoch.
 
-    Each child's stdin is a socket pair end: it writes ``ready`` once
+    POSIX only, and call it with no other threads running: a fork copies
+    only this thread, so a lock another one holds stays held in every host.
+    Each host gets one end of a socket pair: it writes ``ready`` once
     bound and dialled, then reads the epoch stamped when all are ready.
-    A host that exits first or is not ready within ``connect_timeout``
-    kills every child and raises :class:`LaunchError`."""
+    A host that cannot be started, exits first, or is not ready within
+    ``connect_timeout`` kills every host and raises :class:`LaunchError`."""
+    if not hasattr(os, "fork"):
+        raise LaunchError("start_cluster forks its hosts, and this platform has no os.fork")
     os.makedirs(spec.run_dir, exist_ok=True)
     spec.placement = spec.placement or spec.default_placement()
     spec.addresses = _allocate_addresses(spec)
@@ -426,22 +436,14 @@ def start_cluster(spec: ClusterSpec) -> ClusterHandle:
     spec_file = pathlib.Path(spec.run_dir, "spec.json")
     spec_file.write_text(spec.to_json() + "\n", encoding="utf-8")
     handle = ClusterHandle(spec=spec, spec_path=str(spec_file))
-    channels = []
-    for index in range(spec.processes):
-        log = open(os.path.join(spec.run_dir, f"host-{index}.log"), "w", encoding="utf-8")
-        ours, theirs = socket.socketpair()
-        handle.spawned_at.append(time.time())
-        child = subprocess.Popen(
-            [sys.executable, "-m", "repro", "serve",
-             "--spec", handle.spec_path, "--host-index", str(index)],
-            stdin=theirs,
-            stdout=log,
-            stderr=subprocess.STDOUT,
-        )
-        theirs.close()
-        handle.children.append((child, log))
-        channels.append(ours)
+    channels: List[socket.socket] = []
     try:
+        for index in range(spec.processes):
+            handle.spawned_at.append(time.time())
+            try:
+                handle.children.append(_fork_host(handle, index, channels))
+            except OSError as exc:
+                raise LaunchError(f"host {index} could not be started: {type(exc).__name__}: {exc}")
         _await_ready(handle, channels)
         spec.epoch = time.time() + 0.01  # time for the line to reach every host
         spec_file.write_text(spec.to_json() + "\n", encoding="utf-8")
@@ -449,15 +451,40 @@ def start_cluster(spec: ClusterSpec) -> ClusterHandle:
             with contextlib.suppress(OSError):  # died after ready: wait_cluster names it
                 channel.sendall(f"{spec.epoch!r}\n".encode("ascii"))
     except LaunchError:
-        for child, log in handle.children:
-            child.kill()
-            child.wait()
-            log.close()
+        for pid in handle.children:
+            _reap(pid, 0.0)
         raise
     finally:
         for channel in channels:
             channel.close()
     return handle
+
+
+def _fork_host(handle: ClusterHandle, index: int, channels: List[socket.socket]) -> int:
+    """Fork host ``index``; add our end of its channel to ``channels``.  The host
+    leaves through ``os._exit``: 0 clean, 1 on violations or an exception."""
+    path = os.path.join(handle.spec.run_dir, f"host-{index}.log")
+    with open(path, "w", encoding="utf-8", buffering=1) as log:
+        ours, theirs = socket.socketpair()
+        channels.append(ours)
+        with theirs:
+            sys.stdout.flush()  # or the host would inherit, and might write, our buffer
+            sys.stderr.flush()
+            pid = os.fork()
+            if pid:
+                return pid
+            code = 1
+            try:
+                for other in channels:  # so a dead launcher still reads as EOF
+                    other.close()
+                os.dup2(log.fileno(), 1)
+                os.dup2(log.fileno(), 2)
+                sys.stdout = sys.stderr = log
+                code = serve(handle.spec_path, index, launcher=theirs)
+            except BaseException:
+                traceback.print_exc()
+            finally:
+                os._exit(code)
 
 
 def _await_ready(handle: ClusterHandle, channels: List[socket.socket]) -> None:
@@ -477,24 +504,32 @@ def _await_ready(handle: ClusterHandle, channels: List[socket.socket]) -> None:
             handle.ready_s[index] = time.time() - handle.spawned_at[index]
 
 
+def _reap(pid: int, timeout: float) -> Optional[int]:
+    """Host ``pid``'s exit code (-N if signal N killed it), or None if it
+    still ran after ``timeout`` seconds and was killed."""
+    deadline = time.time() + timeout
+    while True:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            return os.waitstatus_to_exitcode(status)
+        if time.time() >= deadline:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            return None
+        time.sleep(0.01)
+
+
 def wait_cluster(handle: ClusterHandle) -> List[str]:
-    """Wait for every host; returns launcher-level failures (not merges)."""
+    """Reap every host; returns launcher-level failures (not merges)."""
     spec = handle.spec
     deadline = spec.epoch + spec.duration + 30.0
     failures: List[str] = []
-    for index, (child, log) in enumerate(handle.children):
-        budget = max(1.0, deadline - time.time())
-        try:
-            code = child.wait(timeout=budget)
-        except subprocess.TimeoutExpired:
-            child.kill()
-            child.wait()
+    for index, pid in enumerate(handle.children):
+        code = _reap(pid, max(1.0, deadline - time.time()))
+        if code is None:
             failures.append(f"host {index} timed out and was killed")
-            continue
-        finally:
-            log.close()
         # 1 = ran but saw violations; the merge reports them.
-        if code not in (0, 1):
+        elif code not in (0, 1):
             failures.append(f"host {index} exited with code {code}: {_last_line(handle, index)}")
         elif not os.path.exists(os.path.join(spec.host_dir(index), "result.json")):
             failures.append(f"host {index} wrote no result.json: {_last_line(handle, index)}")
@@ -502,7 +537,7 @@ def wait_cluster(handle: ClusterHandle) -> List[str]:
 
 
 def launch(spec: ClusterSpec, *, quiet: bool = False) -> ClusterVerdict:
-    """Spawn the cluster, wait for every host, and merge the outputs.
+    """Start the cluster, wait for every host, and merge the outputs.
 
     A launcher failure fails the run with nothing merged."""
     try:

@@ -185,3 +185,26 @@ def test_release_on_a_closed_connection_is_quiet_but_acquire_raises(tmp_path):
     held = asyncio.run(scenario())
     assert held.granted, held.reason
     assert host.result()["locks"]["leaked_leases"] == 0
+
+
+def test_loadgen_self_launch_serves_every_session(tmp_path, capsys):
+    """``repro loadgen`` without ``--spec`` forks a ``--serve-locks``
+    cluster, bursts sessions against it, waits it out and merges: every
+    session completes, with no errors and no leaked lease."""
+    import json
+
+    from repro import cli
+
+    report_path = tmp_path / "loadgen.json"
+    code = cli.main([
+        "loadgen", "--n", "4", "--processes", "2", "--duration", "3",
+        "--sessions", "200", "--concurrency", "20", "--connections", "2",
+        "--run-dir", str(tmp_path / "run"), "--json", str(report_path),
+    ])
+    out = capsys.readouterr().out
+    report = json.loads(report_path.read_text(encoding="utf-8"))
+
+    assert code == 0, out
+    assert report["ok"] and report["completed"] == report["sessions"] == 200
+    assert report["errors"] == 0
+    assert "cluster verdict: PASS" in out and ", 0 leaked" in out

@@ -3,7 +3,7 @@
 The loopback tests exercise the whole live stack — LiveSubstrate wall-clock
 timers, the binary codec on every hop, the heartbeat ◇P₁, and the online
 checkers — inside one asyncio loop, so they are fast and deterministic
-enough for tier-1.  One test spawns a real 3-process unix-socket cluster
+enough for tier-1.  One test forks a real 3-process unix-socket cluster
 through the same launcher ``repro cluster`` uses.
 """
 
@@ -14,6 +14,8 @@ import pytest
 
 from repro.checks import CHANNEL_BOUND
 from repro.graphs.topologies import ring
+from repro.errors import LaunchError
+from repro.net import cluster
 from repro.net.host import AsyncHost, HostConfig, run_host
 from repro.net.cluster import (
     ClusterSpec,
@@ -308,18 +310,31 @@ def test_three_process_unix_cluster(tmp_path):
     )
 
 
+def _capture_hosts(monkeypatch):
+    """Record the pid of every host the launcher forks."""
+    forked = []
+    fork_host = cluster._fork_host
+    monkeypatch.setattr(
+        cluster, "_fork_host", lambda *a: forked.append(fork_host(*a)) or forked[-1]
+    )
+    return forked
+
+
+def _reaped(pid) -> bool:
+    try:
+        os.waitpid(pid, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
 def test_a_host_that_dies_at_start_up_fails_the_launch_by_name(tmp_path, monkeypatch):
     """A host socket path past the AF_UNIX limit kills its host before it
     is ready.  The launch fails naming the host and the cause, every
-    other child is killed, and nothing is merged."""
-    import subprocess
+    other host is killed and reaped, and nothing is merged."""
     import time
 
-    spawned = []
-    popen = subprocess.Popen
-    monkeypatch.setattr(
-        subprocess, "Popen", lambda *a, **k: spawned.append(popen(*a, **k)) or spawned[-1]
-    )
+    forked = _capture_hosts(monkeypatch)
     run_dir = tmp_path / ("d" * max(1, 110 - len(str(tmp_path))))
     spec = _triangle_spec(run_dir, processes=2)
     assert len(os.path.join(spec.run_dir, "host-0.sock")) > 108
@@ -331,8 +346,79 @@ def test_a_host_that_dies_at_start_up_fails_the_launch_by_name(tmp_path, monkeyp
     [failure] = verdict.checker_violations
     assert failure.startswith(("host 0 exited before ready", "host 1 exited before ready"))
     assert failure.endswith("OSError: AF_UNIX path too long"), failure
-    assert len(spawned) == 2 and all(child.poll() is not None for child in spawned)
+    assert len(forked) == 2 and all(_reaped(pid) for pid in forked)
     assert "FAIL" in verdict.describe()
+
+
+def test_a_host_that_cannot_be_started_stops_the_hosts_already_started(tmp_path, monkeypatch):
+    """A fork that fails part-way (here host 1's) is a named launch
+    failure, and the hosts already started are killed and reaped."""
+    forked = []
+    fork_host = cluster._fork_host
+
+    def fail_host_1(handle, index, channels):
+        if index == 1:
+            raise OSError("fork refused")
+        forked.append(fork_host(handle, index, channels))
+        return forked[-1]
+
+    monkeypatch.setattr(cluster, "_fork_host", fail_host_1)
+    spec = _triangle_spec(tmp_path / "cluster")
+    with pytest.raises(LaunchError, match=r"^host 1 could not be started: OSError: fork refused$"):
+        start_cluster(spec)
+    assert len(forked) == 1 and _reaped(forked[0])
+
+
+def test_a_host_whose_launcher_hangs_up_before_the_epoch_exits(tmp_path, monkeypatch):
+    """Each host closes the launcher's channel ends it inherited, so when
+    the launcher goes away between ``ready`` and the epoch every host
+    reads EOF and exits naming the cause instead of waiting forever."""
+    forked = _capture_hosts(monkeypatch)
+    await_ready = cluster._await_ready
+
+    def ready_then_gone(handle, channels):
+        await_ready(handle, channels)
+        raise RuntimeError("launcher gone")
+
+    monkeypatch.setattr(cluster, "_await_ready", ready_then_gone)
+    spec = _triangle_spec(tmp_path / "cluster")
+    with pytest.raises(RuntimeError):
+        start_cluster(spec)
+    assert [cluster._reap(pid, 5.0) for pid in forked] == [1] * spec.processes
+    for index in range(spec.processes):
+        with open(os.path.join(spec.run_dir, f"host-{index}.log"), encoding="utf-8") as log:
+            assert log.read().rstrip().endswith(
+                "LaunchError: the launcher hung up before sending the epoch"
+            )
+
+
+def test_a_launch_starts_no_interpreter(tmp_path, monkeypatch):
+    """Hosts are forks of the launcher: no new interpreter is started,
+    output the launcher had buffered reaches no host log, and
+    ``wait_cluster`` reaps every host."""
+    import subprocess
+    import sys
+
+    def no_interpreter(*args, **kwargs):
+        raise AssertionError("the launch started an interpreter")
+
+    monkeypatch.setattr(subprocess, "Popen", no_interpreter)
+    forked = _capture_hosts(monkeypatch)
+    with open(1, "w", encoding="utf-8", closefd=False) as stdout:  # block-buffered fd 1
+        monkeypatch.setattr(sys, "stdout", stdout)
+        print("launcher-only line")
+        spec = _triangle_spec(tmp_path / "cluster")
+        verdict = launch(spec, quiet=True)
+        monkeypatch.undo()
+
+    assert verdict.ok, verdict.describe()
+    assert len(forked) == spec.processes
+    for pid in forked:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, 0)
+    for index in range(spec.processes):
+        with open(os.path.join(spec.run_dir, f"host-{index}.log"), encoding="utf-8") as log:
+            assert "launcher-only line" not in log.read()
 
 
 def test_a_host_that_writes_no_result_fails_the_launch_by_name(tmp_path):
@@ -367,6 +453,24 @@ def test_standalone_serve_of_a_spec_with_an_epoch_runs_as_before(tmp_path):
         result = json.load(stream)
     assert result["epoch"] == spec.epoch
     assert sum(result["meals"].values()) > 0
+
+
+def test_standalone_serve_refuses_a_spec_without_an_epoch(tmp_path, capsys):
+    """Only the launcher can stamp an epoch, so ``repro serve`` of a spec
+    without one is refused with a message, not a hang on a handshake."""
+    from repro import cli
+
+    spec = _triangle_spec(tmp_path / "solo", processes=1)
+    os.makedirs(spec.run_dir)
+    spec_path = os.path.join(spec.run_dir, "spec.json")
+    with open(spec_path, "w", encoding="utf-8") as stream:
+        stream.write(spec.to_json())
+
+    with pytest.raises(LaunchError, match="has no epoch"):
+        serve(spec_path, 0)
+    with pytest.raises(SystemExit, match="has no epoch"):
+        cli.main(["serve", "--spec", spec_path, "--host-index", "0"])
+    assert not os.path.exists(spec.host_dir(0))
 
 
 # ----------------------------------------------------------------------
