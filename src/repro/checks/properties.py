@@ -650,8 +650,10 @@ class PendingPingChecker(Checker):
         the checker exists to count.  Offline replay gets here through
         :meth:`note_membership`; online the shared delta interpreter
         (:func:`repro.core.assembly.apply_delta`) calls it directly, so
-        ``observed`` counts stream events only.  Pairs are deleted in
-        place: the kernel adapter's inline guard shares the dict.
+        ``observed`` counts stream events only.  The kernel adapter keeps
+        its own counts per channel id and retires them itself, over the pid's
+        channels (:meth:`~repro.sim.checks.KernelCheckAdapter.note_rejoin`,
+        ``note_fence``).
         """
         if verb in ("join", "rejoin"):
             stale = [pair for pair in self._outstanding if pid in pair]

@@ -74,6 +74,16 @@ class DinerActor(Actor):
         protocol inside the critical section.
     """
 
+    # ``__dict__`` stays unallocated until something outside the slots is
+    # set: a subclass's own field, or a method patched in by a mutant.
+    __slots__ = (
+        "__dict__", "graph", "color", "coloring", "detector", "module", "workload",
+        "trace", "on_eat", "on_dirty_link", "on_dirty_fork", "state", "inside", "links",
+        "_departed", "_former", "_msg_ping", "_msg_ack", "_msg_fork",
+        "_msg_fork_request", "_hunger_label", "_exit_label", "_detector_agent",
+        "_exit_timer", "hungry_sessions_started", "meals_eaten",
+    )
+
     def __init__(
         self,
         pid: ProcessId,
@@ -123,24 +133,20 @@ class DinerActor(Actor):
                     raise ConfigurationError(
                         f"diner {pid} wired to unknown neighbor {neighbor}"
                     )
-        self.links: Dict[ProcessId, NeighborLinks] = {}
-        for neighbor in initial_neighbors:
-            neighbor_color = int(coloring[neighbor])
-            self.links[neighbor] = NeighborLinks.initial(self.color, neighbor_color)
-        # Neighbor iteration order is fixed for the life of the actor;
-        # materializing it once replaces a generator + two dict lookups on
-        # every guard scan (Actions 2/5/6/9 walk this list constantly).
-        self._ordered_links = [
-            (neighbor, self.links[neighbor]) for neighbor in initial_neighbors
-        ]
-        # Dynamic-membership bookkeeping, both empty for a static run:
-        # ``_departed`` holds neighbors that left the system (their
-        # missing acks/forks are substituted in Actions 5/9 exactly like
-        # suspicion — the ◇P₁ path — until they rejoin); ``_former``
-        # holds pids whose conflict edge to us was removed, so their
-        # stale in-flight traffic is dropped instead of rejected.
-        self._departed: set = set()
-        self._former: set = set()
+        # Kept in ascending neighbor order (add_neighbor re-sorts), so the
+        # guard scans of Actions 2/5/6/9 walk ``links.items()`` directly.
+        self.links: Dict[ProcessId, NeighborLinks] = {
+            neighbor: NeighborLinks.initial(self.color, int(coloring[neighbor]))
+            for neighbor in initial_neighbors
+        }
+        # Dynamic-membership bookkeeping, both empty for a static run (a
+        # shared ``()`` until a delta makes them sets): ``_departed`` holds
+        # neighbors that left the system (their missing acks/forks are
+        # substituted in Actions 5/9 exactly like suspicion — the ◇P₁
+        # path — until they rejoin); ``_former`` holds pids whose conflict
+        # edge to us was removed, so their stale in-flight traffic is
+        # dropped instead of rejected.
+        self._departed = self._former = ()
         # Messages carry only static fields (sender id, static color), so
         # each diner sends the *same* four frozen instances for its entire
         # life — interning them removes one allocation per send.
@@ -282,7 +288,7 @@ class DinerActor(Actor):
         """
         if neighbor not in self.links:
             return
-        self._departed.add(neighbor)
+        self._departed = {*self._departed, neighbor}
         self.request_reevaluation()
 
     def neighbor_rejoined(self, neighbor: ProcessId) -> None:
@@ -292,8 +298,7 @@ class DinerActor(Actor):
         placement at the same instant (the delta's CONTROL event), so the
         edge again holds exactly one fork and one token.
         """
-        self._departed.discard(neighbor)
-        self._former.discard(neighbor)
+        self._forget(neighbor)
         link = self.links.get(neighbor)
         if link is None:
             return
@@ -302,23 +307,18 @@ class DinerActor(Actor):
 
     def add_neighbor(self, neighbor: ProcessId) -> None:
         """A conflict edge to ``neighbor`` now exists (join or add_edge)."""
-        self._former.discard(neighbor)
-        self._departed.discard(neighbor)
+        self._forget(neighbor)
         link = self.links.get(neighbor)
         if link is not None:
             # Edge re-added after a removal: hygienic rebuild.
             self._reset_link(neighbor, link)
             self.request_reevaluation()
             return
-        link = NeighborLinks.initial(self.color, int(self.coloring[neighbor]))
-        self.links[neighbor] = link
-        ordered = self._ordered_links
-        at = len(ordered)
-        for index, (other, _) in enumerate(ordered):
-            if other > neighbor:
-                at = index
-                break
-        ordered.insert(at, (neighbor, link))
+        links = self.links
+        links[neighbor] = NeighborLinks.initial(self.color, int(self.coloring[neighbor]))
+        ordered = sorted(links.items())
+        links.clear()
+        links.update(ordered)
         self.request_reevaluation()
 
     def remove_neighbor(self, neighbor: ProcessId) -> None:
@@ -326,12 +326,16 @@ class DinerActor(Actor):
         if neighbor not in self.links:
             return
         del self.links[neighbor]
-        self._ordered_links = [
-            pair for pair in self._ordered_links if pair[0] != neighbor
-        ]
-        self._former.add(neighbor)
-        self._departed.discard(neighbor)
+        self._forget(neighbor)
+        self._former = {*self._former, neighbor}
         self.request_reevaluation()
+
+    def _forget(self, neighbor: ProcessId) -> None:
+        """Drop ``neighbor`` from the departed and former sets."""
+        if neighbor in self._departed:
+            self._departed.discard(neighbor)
+        if neighbor in self._former:
+            self._former.discard(neighbor)
 
     # ------------------------------------------------------------------
     # Action 1: become hungry
@@ -374,7 +378,7 @@ class DinerActor(Actor):
         # delegation frame loses nothing but the frame.
         send = self._substrate.send
         pid = self.pid
-        for neighbor, link in self._ordered_links:
+        for neighbor, link in self.links.items():
             if not link.pinged and not link.ack:
                 send(pid, neighbor, ping)
                 link.pinged = True
@@ -391,12 +395,12 @@ class DinerActor(Actor):
         suspected = self.module.suspected
         if self._departed:
             suspected = suspected | self._departed
-        for neighbor, link in self._ordered_links:
+        for neighbor, link in self.links.items():
             if not link.ack and neighbor not in suspected:
                 return False
         self.inside = True
         self.trace.doorway_change(self._substrate.now, self.pid, True)
-        for _, link in self._ordered_links:
+        for link in self.links.values():
             link.ack = False
             link.replied = False
         return True
@@ -407,7 +411,7 @@ class DinerActor(Actor):
         request = self._msg_fork_request
         send = self._substrate.send
         pid = self.pid
-        for neighbor, link in self._ordered_links:
+        for neighbor, link in self.links.items():
             if link.token and not link.fork:
                 send(pid, neighbor, request)
                 link.token = False
@@ -419,7 +423,7 @@ class DinerActor(Actor):
         suspected = self.module.suspected
         if self._departed:
             suspected = suspected | self._departed
-        for neighbor, link in self._ordered_links:
+        for neighbor, link in self.links.items():
             if not link.fork and neighbor not in suspected:
                 return False
         self._set_state(DinerState.EATING)
@@ -534,7 +538,7 @@ class DinerActor(Actor):
         fork = self._msg_fork
         ack = self._msg_ack
         sink = self.on_dirty_link
-        for neighbor, link in self._ordered_links:
+        for neighbor, link in self.links.items():
             if link.token and link.fork:  # a deferred fork request
                 send(pid, neighbor, fork)
                 link.fork = False
@@ -550,7 +554,7 @@ class DinerActor(Actor):
     # ------------------------------------------------------------------
     def _links_in_order(self):
         """Neighbor links in ascending pid order (determinism)."""
-        return iter(self._ordered_links)
+        return iter(self.links.items())
 
     def _set_state(self, new_state: DinerState) -> None:
         old = self.state

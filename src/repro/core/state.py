@@ -13,7 +13,9 @@ color, and six booleans per neighbor:
 ========== =====================================================
 
 :func:`local_state_bits` reproduces the Section 7 space bound
-``log₂(δ) + 6δ + c``.
+``log₂(δ) + 6δ + c``.  The kernel keeps bytes, not bits: a slotted
+:class:`NeighborLinks` is 80 B, and a built diner ≈3.2 KB at mean degree
+9.3 (``docs/PERFORMANCE.md`` compares the two).
 """
 
 from __future__ import annotations

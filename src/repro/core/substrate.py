@@ -90,7 +90,16 @@ class Substrate(Protocol):
 
 
 class Actor:
-    """Base class for hosted processes, written against :class:`Substrate`."""
+    """Base class for hosted processes, written against :class:`Substrate`.
+
+    Slotted; a subclass that declares no ``__slots__`` gets an instance
+    dict for its own fields as usual.
+    """
+
+    __slots__ = (
+        "pid", "crashed", "crash_time", "_substrate", "_reevaluation_pending",
+        "_reeval_fire", "_reeval_label",
+    )
 
     def __init__(self, pid: ProcessId) -> None:
         self.pid = pid

@@ -366,6 +366,8 @@ class DiningTable:
 
     def fence_edge(self, a: ProcessId, b: ProcessId) -> None:
         self.network.fence_channels(a, b)
+        if self._check_adapter is not None:
+            self._check_adapter.note_fence(a, b)
 
     # ------------------------------------------------------------------
     # Execution

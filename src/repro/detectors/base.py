@@ -28,7 +28,7 @@ Concrete detectors:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, FrozenSet, Iterable, List, Set
+from typing import Callable, Dict, FrozenSet, Iterable, List, Set, Tuple
 
 from repro.errors import ConfigurationError
 from repro.graphs.conflict import ConflictGraph, ProcessId
@@ -44,9 +44,15 @@ class DetectorModule:
     enforced here: attempts to suspect a non-neighbor raise.
     """
 
+    __slots__ = ("owner", "_scope", "_suspected", "suspected", "_listeners")
+
     def __init__(self, owner: ProcessId, neighbors: Iterable[ProcessId]) -> None:
         self.owner = owner
-        self._scope: FrozenSet[ProcessId] = frozenset(neighbors)
+        # The graph's own neighbor tuple, not a copy: scope checks run
+        # only at queries and flips, and δ is small.
+        self._scope: Tuple[ProcessId, ...] = (
+            neighbors if type(neighbors) is tuple else tuple(neighbors)
+        )
         self._suspected: Set[ProcessId] = set()
         # Live read-only view (the same set object, mutated in place,
         # never rebound): the dining guard loops test membership directly
@@ -71,10 +77,6 @@ class DetectorModule:
     def suspected_neighbors(self) -> FrozenSet[ProcessId]:
         """Snapshot of currently suspected neighbors."""
         return frozenset(self._suspected)
-
-    @property
-    def scope(self) -> FrozenSet[ProcessId]:
-        return self._scope
 
     # -- observation ----------------------------------------------------
     def subscribe(self, listener: SuspicionListener) -> None:

@@ -194,9 +194,9 @@ class _WireLogMonitor(NetworkMonitor):
     host would log, so a witness directory's ``wire.jsonl`` makes
     channel-bound / FIFO / quiescence judgeable by ``repro check`` offline.
 
-    Sequence numbers are the network's own: every checked table arms
-    ``enable_sequencing`` for its FIFO checker, and the network exposes
-    the number of the send or departure being dispatched.
+    Sequence numbers are the network's own: it numbers every send per
+    channel and exposes the number of the send or departure being
+    dispatched.
     """
 
     def __init__(self, network) -> None:

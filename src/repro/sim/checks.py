@@ -5,11 +5,10 @@ The adapter is the only glue between the kernel and the checks
 subsystem: it registers as a network monitor, as a step listener (state
 probes), and as a typed trace listener (phase and doorway changes,
 crashes).  Per-directed-channel sequence numbers are stamped by the
-*network itself* (:meth:`repro.sim.network.Network.enable_sequencing`,
-armed at attach) exactly like the live wire codec numbers every frame,
-so the canonical FIFO checker judges both substrates over the identical
-all-layer stream and the adapter only has to compare the consumed
-number against the channel's expected position.
+*network itself* on every send, exactly like the live wire codec numbers
+every frame, so the canonical FIFO checker judges both substrates over
+the identical all-layer stream and the adapter only has to compare the
+consumed number against the channel's expected position.
 
 Checking is armed by default on every :class:`~repro.core.table.DiningTable`,
 so this path has a hard wall-clock budget (see
@@ -40,11 +39,11 @@ so this path has a hard wall-clock budget (see
   instance attributes, so the per-message path does no bound-method
   creation and almost no attribute lookups.  Sends to destinations that
   never crash skip the quiescence call entirely (they can never be
-  post-crash sends); sequencing lives in the network send path (one
-  combined FIFO-front/seq cell per channel), so the adapter keeps a
-  single consumed-position integer per channel instead of a
-  message-identity map; occupancy is restricted to the checked channel
-  layer (the paper's channel *bound* is about dining traffic;
+  post-crash sends); sequencing lives in the network send path, so the
+  adapter keeps a consumed position and an outstanding-ping count per
+  channel, in arrays the network sizes and indexed by the channel id it
+  hands every hook (no ``(src, dst)`` key per channel); occupancy is
+  restricted to the checked channel layer (the paper's channel *bound* is about dining traffic;
   heartbeats are loss-tolerant by design) while FIFO order is judged
   for every layer, as on the wire; the per-checker ``observed``
   counters are reconciled by a suite finalizer, so verdict skip/pass
@@ -152,22 +151,18 @@ class KernelCheckAdapter(NetworkMonitor):
         self.suite = suite
         self._diners = diners
         self._crashing = set(crashing)
-        # (src, dst) -> last in-order consumed seq.  The network assigns
-        # the numbers (enable_sequencing, armed at attach); consuming out
-        # of order (a network-model bug) surfaces as a FIFO violation.
-        self._consumed: Dict[Tuple[ProcessId, ProcessId], int] = {}
-        # Filled by attach(): the network whose last_send_seq /
-        # delivering_seq the hooks read (a cell for late binding).
-        self._net_cell: list = [None]
+        # Channel id -> last in-order consumed seq / outstanding pings
+        # (Lemma 2.2): the network's channel tables, made at attach().
+        # Consuming out of order (a network-model bug) surfaces as a FIFO
+        # violation.
+        self._consumed = None
+        self._pings = None
+        self._network = None
         # message class -> (type name, layer, kind tag, counts toward the
         # channel bound); class attributes, so one resolution per class
         # serves every instance.
         self._type_info: Dict[type, Tuple[str, str, int, bool]] = {}
         self._dirty_edges: set = set()
-        # Filled by attach(): the simulator whose one-shot ``_post_event``
-        # hook the dirty-markers arm (a cell, so the closures built below
-        # see the late-bound kernel).
-        self._sim_cell: list = [None]
         # (pid, neighbor) links — or (pid, None) for a whole diner —
         # whose local flags may have changed since the last step probe.
         # Link-granular on purpose: under steady ping traffic almost
@@ -175,13 +170,15 @@ class KernelCheckAdapter(NetworkMonitor):
         # re-scanning the whole diner.
         self._dirty_pairs: set = set()
         # [wire events seen, sends to never-crashing destinations,
-        # in-order FIFO consumes, first-outstanding ping sends] —
-        # deferred ``observed`` bookkeeping, reconciled by _flush_observed.
-        self._counters = [0, 0, 0, 0]
+        # in-order FIFO consumes, first-outstanding ping sends, acks
+        # retiring pings] — deferred ``observed`` bookkeeping, reconciled
+        # by _flush_observed.
+        self._counters = [0, 0, 0, 0, 0]
         self._wire_flushed = 0
         self._quiet_flushed = 0
         self._fifo_flushed = 0
         self._ping_flushed = 0
+        self._acks_flushed = 0
         # Batched send counts per message class, settled by _flush_stats
         # into the ``stats`` facade (the table's ``message_stats``).
         self._sent_by_class: Dict[type, int] = defaultdict(int)
@@ -197,25 +194,21 @@ class KernelCheckAdapter(NetworkMonitor):
         self._fifo = by_name.get(FIFO)
         self._pending_ping = by_name.get(PENDING_PING)
         self._cb_layer = self._channel.layer if self._channel is not None else "dining"
-        self._build_hooks()
 
-    def _build_hooks(self) -> None:
+    def _build_hooks(self, sim, network) -> None:
         """Install the hot-path hooks as closures over their dependencies.
 
         Everything a hook mutates is a shared mutable container (the
-        dicts, the dirty lists, the ``_counters`` cell list, the
-        ``_crashing`` set — updated in place, never rebound), so the
-        closures and the rest of the adapter observe the same state.
+        dicts, the channel tables, the dirty lists, the ``_counters``
+        cell list, the ``_crashing`` set — updated in place, never
+        rebound), so the closures and the rest of the adapter observe
+        the same state.
         """
-        suite = self.suite
         diners = self._diners
         crashing = self._crashing
-        consumed = self._consumed
-        net_cell = self._net_cell
         type_info = self._type_info
         dirty_edges = self._dirty_edges
         dirty_pairs = self._dirty_pairs
-        sim_cell = self._sim_cell
         counters = self._counters
         sent_by_class = self._sent_by_class
         intern = self._intern
@@ -235,21 +228,24 @@ class KernelCheckAdapter(NetworkMonitor):
         cb_level = channel.record_level if channel is not None else None
         fifo = self._fifo
         judge_fifo = fifo is not None
-        # The in-order comparison runs inline (the canonical
-        # ``record_consume`` would rebuild the channel key and repeat the
-        # dict traffic the adapter just paid); the checker's own state is
-        # synced and its method invoked whenever the guard trips, so the
-        # violation text and resync policy stay canonical.  The number
-        # itself comes from the network (``delivering_seq``): the adapter
-        # pays one dict op per consume, none per send.
+        # The in-order comparison runs inline against a channel table
+        # (the canonical ``record_consume`` keys a dict by ``(src, dst)``);
+        # the checker's own state is synced and its method invoked
+        # whenever the guard trips, so the violation text and resync
+        # policy stay canonical.  The number and the channel id come from
+        # the network (``delivering_seq`` / ``delivering_channel``).
         fifo_consume = fifo.record_consume if judge_fifo else None
         fifo_expected = fifo._expected if judge_fifo else None
+        consumed = self._consumed = network.channel_table("I") if judge_fifo else None
+        # Lemma 2.2's guard, the same way: outstanding pings per channel
+        # id, synced into the checker's ``_outstanding`` only on a trip.
+        # An ack on channel ``c`` retires the ping on its reverse, ``c ^ 1``.
         pending_ping = self._pending_ping
         pp_ping = pending_ping.record_ping_send if pending_ping is not None else None
         pp_outstanding = (
             pending_ping._outstanding if pending_ping is not None else None
         )
-        pp_ack = pending_ping.record_ack_arrival if pending_ping is not None else None
+        pings = self._pings = network.channel_table("i") if pending_ping is not None else None
         q_send = (
             self._quiescence.record_send if self._quiescence is not None else None
         )
@@ -276,13 +272,11 @@ class KernelCheckAdapter(NetworkMonitor):
             # first mark: clean events then never call into the checker
             # at all (the kernel pays one load-and-branch), and dirty
             # events pay one probe of exactly the touched slice.
-            sim = sim_cell[0]
             if sim._post_event is None:
                 sim._post_event = on_step
             dirty_pairs.add(pair)
 
         def mark_edge(edge):
-            sim = sim_cell[0]
             if sim._post_event is None:
                 sim._post_event = on_step
             dirty_edges.add(edge)
@@ -310,18 +304,21 @@ class KernelCheckAdapter(NetworkMonitor):
                     if level > cb_bound:
                         report(cb_level(src, dst, level, time, name))
             if kind == 1:  # _KIND_PING
-                if pp_outstanding is not None:
+                if pings is not None:
                     # Lemma 2.2 guard: a second outstanding ping is the
                     # violation; construction (and the recount) is
                     # delegated to the canonical checker method.
-                    pair = (src, dst)
-                    count = pp_outstanding.get(pair, 0) + 1
-                    if count > 1:
+                    channel = network.last_send_channel
+                    count = pings[channel]
+                    if count:
+                        pair = (src, dst)
+                        pp_outstanding[pair] = count
                         violation = pp_ping(src, dst, time)
+                        pings[channel] = pp_outstanding.pop(pair)
                         if violation is not None:
                             report(violation)
                     else:
-                        pp_outstanding[pair] = count
+                        pings[channel] = 1
                         counters[3] += 1
             # (An ack send flips the sender's ``replied`` flag, but the
             # diner pushes that dirt itself — see install_diner.)
@@ -339,24 +336,30 @@ class KernelCheckAdapter(NetworkMonitor):
             # channel's next position regardless of message kind.  The
             # drop path (rare: only traffic to crashed destinations)
             # calls this; the deliver path inlines the same logic.
-            seq = net_cell[0].delivering_seq
-            key = (src, dst)
-            position = consumed.get(key, 0)
+            seq = network.delivering_seq
+            channel = network.delivering_channel
+            position = consumed[channel]
             if seq == position + 1:
-                consumed[key] = seq
+                consumed[channel] = seq
                 counters[2] += 1
-            elif seq:
+            else:
                 # Guard tripped: sync the checker to the adapter's
                 # channel position and let it judge canonically.
+                key = (src, dst)
                 fifo_expected[key] = position
                 violation = fifo_consume(src, dst, seq, time)
+                consumed[channel] = fifo_expected.pop(key)
                 if violation is not None:
                     report(violation)
-                consumed[key] = fifo_expected.get(key, position)
-            else:
-                # Unsequenced delivery (injected behind the network's
-                # back): counted, never judged.
-                fifo_consume(src, dst, None, time)
+
+        def retire_ping():
+            # An ack left its channel (delivered or dropped): retire the
+            # ping outstanding on the reverse channel.
+            back = network.delivering_channel ^ 1
+            count = pings[back]
+            if count:
+                pings[back] = count - 1
+            counters[4] += 1
 
         def on_deliver(src, dst, message, time):
             info = type_info.get(type(message))
@@ -365,20 +368,14 @@ class KernelCheckAdapter(NetworkMonitor):
             _, layer, kind, counted = info
             counters[0] += 1
             if judge_fifo:
-                seq = net_cell[0].delivering_seq
-                key = (src, dst)
-                position = consumed.get(key, 0)
+                seq = network.delivering_seq
+                channel = network.delivering_channel
+                position = consumed[channel]
                 if seq == position + 1:
-                    consumed[key] = seq
+                    consumed[channel] = seq
                     counters[2] += 1
-                elif seq:
-                    fifo_expected[key] = position
-                    violation = fifo_consume(src, dst, seq, time)
-                    if violation is not None:
-                        report(violation)
-                    consumed[key] = fifo_expected.get(key, position)
                 else:
-                    fifo_consume(src, dst, None, time)
+                    consume(src, dst, time)
             if counted and occ_current is not None:
                 edge = (src, dst) if src <= dst else (dst, src)
                 level = occ_current[edge]
@@ -388,8 +385,8 @@ class KernelCheckAdapter(NetworkMonitor):
             # handler pushes exactly the state it mutated through the
             # sinks install_diner armed, so nothing here branches on
             # message kinds to guess what the delivery touched.
-            if kind == 2 and pp_ack is not None:  # _KIND_ACK
-                pp_ack(src, dst)
+            if kind == 2 and pings is not None:  # _KIND_ACK
+                retire_ping()
 
         def on_drop(src, dst, message, time):
             info = type_info.get(type(message))
@@ -403,8 +400,8 @@ class KernelCheckAdapter(NetworkMonitor):
                 occ_depart(src, dst, layer)
             # A dropped ack still retires the pending ping (the
             # destination is crashed; its frozen state is not probed).
-            if kind == 2 and pp_ack is not None:
-                pp_ack(src, dst)
+            if kind == 2 and pings is not None:
+                retire_ping()
 
         def on_phase_or_doorway(record):
             if mark_locals:
@@ -434,11 +431,8 @@ class KernelCheckAdapter(NetworkMonitor):
         diner.on_dirty_fork = self._mark_edge
 
     def attach(self, sim, network, trace) -> "KernelCheckAdapter":
-        self._sim_cell[0] = sim
-        self._net_cell[0] = network
-        if self._fifo is not None:
-            # The network stamps the numbers the FIFO hooks consume.
-            network.enable_sequencing()
+        self._network = network
+        self._build_hooks(sim, network)
         network.add_monitor(self)
         trace.add_listener(
             self._on_state_record, types=(PhaseChange, DoorwayChange)
@@ -528,7 +522,7 @@ class KernelCheckAdapter(NetworkMonitor):
         ``consumed_total`` / ``pings_total`` detail — are settled here.
         Delta-tracked: safe to run on every ``finalize``.
         """
-        wire_events, quiet_sends, fifo_consumed, ping_sends = self._counters
+        wire_events, quiet_sends, fifo_consumed, ping_sends, acks = self._counters
         if self._channel is not None:
             self._channel.observed += wire_events - self._wire_flushed
             self._wire_flushed = wire_events
@@ -542,9 +536,10 @@ class KernelCheckAdapter(NetworkMonitor):
             self._fifo_flushed = fifo_consumed
         if self._pending_ping is not None:
             delta = ping_sends - self._ping_flushed
-            self._pending_ping.observed += delta
+            self._pending_ping.observed += delta + acks - self._acks_flushed
             self._pending_ping.pings_total += delta
             self._ping_flushed = ping_sends
+            self._acks_flushed = acks
 
     # Violation plumbing ----------------------------------------------
     def _report(self, violation: Violation) -> None:
@@ -576,10 +571,25 @@ class KernelCheckAdapter(NetworkMonitor):
     # Membership -------------------------------------------------------
     def note_rejoin(self, pid: ProcessId) -> None:
         """A fresh incarnation replaced ``pid``: sends to it are ordinary
-        traffic again, so it leaves the post-crash send filter.  (The
-        checkers' per-incarnation state is reset by the shared delta
-        interpreter, :func:`repro.core.assembly.apply_delta`.)"""
+        traffic again, so it leaves the post-crash send filter, and the
+        pings outstanding on its links are retired, as
+        :meth:`~repro.checks.properties.PendingPingChecker.retire_stale`
+        retires them in the checker.  (The checkers' per-incarnation
+        state is reset by the shared delta interpreter,
+        :func:`repro.core.assembly.apply_delta`.)"""
         self._crashing.discard(pid)
+        for channel in self._network.channel_ids(pid).values():
+            self._retire_pings(channel)
+
+    def note_fence(self, a: ProcessId, b: ProcessId) -> None:
+        """Edge ``(a, b)`` was rebuilt: retire the pings on both its channels."""
+        channel = self._network.channel_ids(a).get(b)
+        if channel is not None:
+            self._retire_pings(channel)
+
+    def _retire_pings(self, channel: int) -> None:
+        if self._pings is not None:
+            self._pings[channel] = self._pings[channel ^ 1] = 0
 
     # Trace records ----------------------------------------------------
     def _on_crash(self, record: Crash) -> None:

@@ -15,7 +15,10 @@ library ships:
   :mod:`repro.detectors.heartbeat` provably converges.
 
 Models draw from a per-directed-channel random stream, so altering traffic
-on one channel never perturbs delays on another.
+on one channel never perturbs delays on another.  A stream-drawing model
+puts its sampling logic in ``draw(rng, now)``; its ``sample`` fetches the
+channel's stream by name.  The kernel's network holds each channel's
+stream itself and calls ``draw`` directly.
 """
 
 from __future__ import annotations
@@ -36,8 +39,16 @@ class LatencyModel(Protocol):
         ...  # pragma: no cover - protocol signature
 
 
-def _channel_stream(streams: RandomStreams, src: ProcessId, dst: ProcessId):
-    return streams.stream(f"latency/{src}->{dst}")
+def channel_stream_name(src: ProcessId, dst: ProcessId) -> str:
+    """The stream a channel's delays are drawn from (its seed is derived from it)."""
+    return f"latency/{src}->{dst}"
+
+
+class _PerChannelStream:
+    """Base of the models that draw each delay from the channel's own stream."""
+
+    def sample(self, src: ProcessId, dst: ProcessId, now: Instant, streams: RandomStreams) -> Duration:
+        return self.draw(streams.stream(channel_stream_name(src, dst)), now)
 
 
 class FixedLatency:
@@ -50,7 +61,7 @@ class FixedLatency:
         return self.delay
 
 
-class UniformLatency:
+class UniformLatency(_PerChannelStream):
     """Delays drawn uniformly from ``[low, high]``."""
 
     def __init__(self, low: Duration = 0.5, high: Duration = 1.5) -> None:
@@ -59,11 +70,11 @@ class UniformLatency:
         if self.high < self.low:
             raise ConfigurationError(f"high ({high}) must be >= low ({low})")
 
-    def sample(self, src: ProcessId, dst: ProcessId, now: Instant, streams: RandomStreams) -> Duration:
-        return _channel_stream(streams, src, dst).uniform(self.low, self.high)
+    def draw(self, rng, now: Instant) -> Duration:
+        return rng.uniform(self.low, self.high)
 
 
-class LogNormalLatency:
+class LogNormalLatency(_PerChannelStream):
     """Log-normally distributed delays, clipped to ``[floor, ceiling]``.
 
     The clip keeps runs replayable in bounded virtual time while preserving
@@ -88,12 +99,12 @@ class LogNormalLatency:
         if self.ceiling < self.floor:
             raise ConfigurationError("ceiling must be >= floor")
 
-    def sample(self, src: ProcessId, dst: ProcessId, now: Instant, streams: RandomStreams) -> Duration:
-        value = _channel_stream(streams, src, dst).lognormvariate(self.mu, self.sigma)
+    def draw(self, rng, now: Instant) -> Duration:
+        value = rng.lognormvariate(self.mu, self.sigma)
         return min(max(value, self.floor), self.ceiling)
 
 
-class PartialSynchronyLatency:
+class PartialSynchronyLatency(_PerChannelStream):
     """GST-style partial synchrony (Dwork, Lynch & Stockmeyer 1988).
 
     Before the global stabilization time ``gst``, delays are adversarially
@@ -116,14 +127,13 @@ class PartialSynchronyLatency:
         if self.pre_gst_max < self.min_delay or self.post_gst_max < self.min_delay:
             raise ConfigurationError("maximum delays must be >= min_delay")
 
-    def sample(self, src: ProcessId, dst: ProcessId, now: Instant, streams: RandomStreams) -> Duration:
-        rng = _channel_stream(streams, src, dst)
+    def draw(self, rng, now: Instant) -> Duration:
         if now < self.gst:
             return rng.uniform(self.min_delay, self.pre_gst_max)
         return rng.uniform(self.min_delay, self.post_gst_max)
 
 
-class StormLatency:
+class StormLatency(_PerChannelStream):
     """Periodic congestion storms over a calm base channel.
 
     Outside storm windows delays are uniform in ``[calm_low, calm_high]``;
@@ -156,8 +166,7 @@ class StormLatency:
         if self.calm_high < self.calm_low or self.storm_high < self.storm_low:
             raise ConfigurationError("latency range inverted")
 
-    def sample(self, src: ProcessId, dst: ProcessId, now: Instant, streams: RandomStreams) -> Duration:
-        rng = _channel_stream(streams, src, dst)
+    def draw(self, rng, now: Instant) -> Duration:
         if (now % self.period) < self.storm_len:
             return rng.uniform(self.storm_low, self.storm_high)
         return rng.uniform(self.calm_low, self.calm_high)

@@ -21,13 +21,14 @@ in-transit occupancy without touching the algorithms.
 
 from __future__ import annotations
 
+from array import array
 from typing import Dict, List, Optional
 
 from repro.errors import ConfigurationError, CrashedProcessError, SimulationError
 from repro.sim.actor import Actor, ProcessId
 from repro.sim.events import EventPriority
 from repro.sim.kernel import Simulator
-from repro.sim.latency import FixedLatency, LatencyModel
+from repro.sim.latency import FixedLatency, LatencyModel, channel_stream_name
 from repro.timebase import Instant
 
 
@@ -55,7 +56,7 @@ class _Delivery:
     scheme allocates (closure + cell) on every single send.
     """
 
-    __slots__ = ("_network", "src", "dst", "message", "seq")
+    __slots__ = ("_network", "src", "dst", "message", "seq", "channel")
 
     def __init__(self, network: "Network") -> None:
         self._network = network
@@ -63,15 +64,17 @@ class _Delivery:
         self.dst: ProcessId = -1
         self.message = None
         self.seq = 0
+        self.channel = 0
 
     def __call__(self) -> None:
         network = self._network
         src = self.src
         dst = self.dst
         message = self.message
-        # Monitors read the consumed sequence number from the network
-        # while their on_deliver/on_drop hook runs (see delivering_seq).
+        # Monitors read the consumed sequence number and channel id from
+        # the network while their on_deliver/on_drop hook runs.
         network.delivering_seq = self.seq
+        network.delivering_channel = self.channel
         # Recycle before delivering: the queue entry referencing this
         # record is already popped, and the receiver's reaction may send
         # (and thus want a fresh record) immediately.
@@ -85,8 +88,8 @@ class _Delivery:
             # edge itself was torn down and rebuilt) drops every message
             # sequenced at or before the fence: traffic from a dead
             # topology epoch must not reach the fresh incarnation.
-            fence = fences.get((src, dst))
-            if fence is not None and 0 < self.seq <= fence:
+            fence = fences.get(self.channel)
+            if fence is not None and self.seq <= fence:
                 network.dropped_count += 1
                 for monitor in network._monitors:
                     monitor.on_drop(src, dst, message, now)
@@ -105,7 +108,14 @@ class _Delivery:
 
 
 class Network:
-    """Message fabric connecting :class:`~repro.sim.actor.Actor` objects."""
+    """Message fabric connecting :class:`~repro.sim.actor.Actor` objects.
+
+    Each directed channel gets a dense integer id the first time either
+    direction is used: ``a -> b`` and ``b -> a`` open together as ids
+    ``2k`` (lower pid first) and ``2k + 1``, so a channel's reverse is
+    ``id ^ 1``.  Per-channel state lives in arrays indexed by that id
+    (:meth:`channel_table`), not in objects keyed by ``(src, dst)``.
+    """
 
     def __init__(
         self,
@@ -119,25 +129,35 @@ class Network:
         self._fixed_delay: Optional[float] = (
             self._latency.delay if type(self._latency) is FixedLatency else None
         )
+        # A model that draws from the channel's own stream is handed the
+        # network's stream table pointed at the channel's row (opened with
+        # the channel, so row = channel id); any other model is asked
+        # ``sample(src, dst, now, streams)`` per send.
+        self._draw = getattr(self._latency, "draw", None) if self._fixed_delay is None else None
+        self._rows = sim.streams.rows() if self._draw is not None else None
         self._actors: Dict[ProcessId, Actor] = {}
         self._monitors: List[NetworkMonitor] = []
-        # Per-directed-channel cell ``[front, seq]``: the last *scheduled*
-        # delivery instant (clamping against it is what makes channels
-        # FIFO) and the last assigned sequence number (0 until
-        # :meth:`enable_sequencing`).  One dict lookup per send serves
-        # both jobs.
-        self._channels: Dict[tuple, list] = {}
-        # Per-directed-channel drop fence: deliveries with a sequence
-        # number at or below the fence are discarded (stale traffic from
-        # before a rejoin or an edge rebuild).  Empty on static runs, so
-        # the delivery path pays one truthiness test.
-        self._fences: Dict[tuple, int] = {}
-        self._sequencing = False
-        #: Sequence number of the most recent send (monitors read it from
-        #: their ``on_send`` hook) / of the delivery or drop currently
-        #: being dispatched.  0 means unsequenced.
+        # pid -> {peer: id of the channel pid -> peer}, for opened channels.
+        self._ids: Dict[ProcessId, Dict[ProcessId, int]] = {}
+        self._tables: List[array] = []
+        # Per channel id: the last *scheduled* delivery instant (clamping
+        # against it is what makes channels FIFO) and the last assigned
+        # sequence number.
+        self._front = self.channel_table("d")
+        self._seq = self.channel_table("I")
+        # Channel id -> drop fence: deliveries with a sequence number at
+        # or below the fence are discarded (stale traffic from before a
+        # rejoin or an edge rebuild).  Empty on static runs, so the
+        # delivery path pays one truthiness test.
+        self._fences: Dict[int, int] = {}
+        #: Sequence number and channel id of the most recent send
+        #: (monitors read them from their ``on_send`` hook) / of the
+        #: delivery or drop currently being dispatched.  Every send is
+        #: numbered, from 1 per channel, like the live wire codec's frames.
         self.last_send_seq = 0
+        self.last_send_channel = 0
         self.delivering_seq = 0
+        self.delivering_channel = 0
         # Free list of _Delivery records and the per-message-class label
         # cache ("deliver Fork"): the profiler aggregates labels to
         # exactly this granularity (see repro.obs.profile.normalize).
@@ -157,9 +177,7 @@ class Network:
         (crashed) actor — the rejoin path of dynamic membership.  Every
         channel touching the pid is fenced at its current sequence
         number, so traffic in flight to or from the dead incarnation is
-        dropped at delivery instead of leaking into the new life
-        (sequence numbers require :meth:`enable_sequencing`, which every
-        checked run arms).
+        dropped at delivery instead of leaking into the new life.
         """
         pid = actor.pid
         if pid in self._actors:
@@ -170,10 +188,10 @@ class Network:
                 raise ConfigurationError(
                     f"cannot replace live process {pid}; crash (leave) it first"
                 )
-            for key, cell in self._channels.items():
-                if pid in key and cell[1]:
-                    self._fences[key] = cell[1]
+            for channel in self._ids[pid].values():
+                self._fence(channel)
         self._actors[pid] = actor
+        self._ids.setdefault(pid, {})
         actor.bind(self._sim, self)
 
     def fence_channels(self, a: ProcessId, b: ProcessId) -> None:
@@ -184,10 +202,40 @@ class Network:
         dropped at delivery rather than delivered into the rebuilt
         hygienic link state.
         """
-        for key in ((a, b), (b, a)):
-            cell = self._channels.get(key)
-            if cell is not None and cell[1]:
-                self._fences[key] = cell[1]
+        channel = self._ids.get(a, {}).get(b)
+        if channel is not None:
+            self._fence(channel)
+
+    def _fence(self, channel: int) -> None:
+        """Fence both directions of ``channel``'s edge at their current seq."""
+        for one in (channel, channel ^ 1):
+            if self._seq[one]:
+                self._fences[one] = self._seq[one]
+
+    def channel_ids(self, pid: ProcessId) -> Dict[ProcessId, int]:
+        """``{peer: id of the channel pid -> peer}`` over opened channels."""
+        return self._ids.get(pid, {})
+
+    def channel_table(self, typecode: str) -> array:
+        """A zeroed ``array`` with an entry per channel id, grown as channels
+        open; index it by :attr:`last_send_channel` / :attr:`delivering_channel`."""
+        opened = len(self._tables[0]) if self._tables else 0
+        table = array(typecode, bytes(array(typecode).itemsize * opened))
+        self._tables.append(table)
+        return table
+
+    def _open(self, src: ProcessId, dst: ProcessId) -> int:
+        """Open both directions of ``src <-> dst``; returns the id of ``src -> dst``."""
+        low, high = (src, dst) if src < dst else (dst, src)
+        channel = len(self._front)
+        self._ids[low][high] = channel
+        self._ids[high][low] = channel + 1
+        for table in self._tables:
+            table.extend((0, 0))
+        if self._rows is not None:  # the name derives the seed and is not kept
+            self._rows.add(channel_stream_name(low, high))
+            self._rows.add(channel_stream_name(high, low))
+        return self._ids[src][dst]
 
     def actor(self, pid: ProcessId) -> Actor:
         try:
@@ -201,16 +249,6 @@ class Network:
 
     def add_monitor(self, monitor: NetworkMonitor) -> None:
         self._monitors.append(monitor)
-
-    def enable_sequencing(self) -> None:
-        """Stamp a per-directed-channel sequence number on every send.
-
-        Mirrors the live wire codec, which numbers every frame on a
-        channel regardless of layer — so the canonical FIFO checker
-        judges both substrates over the identical stream.  Off by
-        default: a bare unchecked run pays nothing.
-        """
-        self._sequencing = True
 
     def start(self) -> None:
         """Invoke every actor's ``on_start`` hook (in pid order)."""
@@ -234,28 +272,34 @@ class Network:
         if sender.crashed:
             raise CrashedProcessError(f"crashed process {src} attempted to send")
 
+        channel = self._ids[src].get(dst)
+        if channel is None:
+            channel = self._open(src, dst)
         sim = self._sim
         now = sim._now
         delay = self._fixed_delay
         if delay is None:
-            delay = self._latency.sample(src, dst, now, sim.streams)
+            draw = self._draw
+            if draw is not None:
+                rows = self._rows
+                rows.row = channel
+                delay = draw(rows, now)
+            else:
+                delay = self._latency.sample(src, dst, now, sim.streams)
             if delay <= 0:
                 raise SimulationError(
                     f"latency model produced non-positive delay {delay!r}"
                 )
         arrival = now + delay
-        key = (src, dst)
-        channels = self._channels
-        cell = channels.get(key)
-        if cell is None:
-            cell = channels[key] = [0.0, 0]
-        if arrival < cell[0]:
-            arrival = cell[0]
-        cell[0] = arrival
-        seq = 0
-        if self._sequencing:
-            cell[1] = seq = cell[1] + 1
-            self.last_send_seq = seq
+        front = self._front
+        if arrival < front[channel]:
+            arrival = front[channel]
+        front[channel] = arrival
+        seqs = self._seq
+        seq = seqs[channel] + 1
+        seqs[channel] = seq
+        self.last_send_seq = seq
+        self.last_send_channel = channel
 
         self.sent_count += 1
         monitors = self._monitors
@@ -269,6 +313,7 @@ class Network:
         record.dst = dst
         record.message = message
         record.seq = seq
+        record.channel = channel
         cls = type(message)
         labels = self._labels
         label = labels.get(cls)

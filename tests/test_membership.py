@@ -56,6 +56,7 @@ from repro.graphs.membership import (
 from repro.net.cluster import ClusterSpec, launch
 from repro.net.host import AsyncHost, HostConfig, run_host
 from repro.sim.crash import CrashPlan
+from repro.sim.latency import UniformLatency
 from repro.trace import serialize
 from repro.trace.events import MembershipChange
 from repro.trace.recorder import TraceRecorder
@@ -314,6 +315,39 @@ def test_clean_ring6_churn_passes_dynamic_suite():
     # The joiner ate after arriving; the bounced pid ate after rejoining.
     assert result.meals.get(6, 0) > 0
     assert result.meals.get(2, 0) > 0
+
+
+def _bounce_and_flip_log():
+    """Six rounds of: leave and rejoin pid 2k, then drop and re-add edge (1, 2)."""
+    deltas = []
+    for k in range(6):
+        t, pid = 2.0 + 6.0 * k, (2 * k) % 6
+        deltas += [
+            MembershipDelta(t, "leave", pid),
+            MembershipDelta(t + 1.5, "rejoin", pid),
+            MembershipDelta(t + 3.0, "remove_edge", 1, peer=2),
+            MembershipDelta(t + 4.5, "add_edge", 1, peer=2),
+        ]
+    return MembershipLog(deltas)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_fences_drop_stale_traffic_on_an_unchecked_table(seed):
+    # Every send is numbered, checked or not, so a rejoin's or an edge
+    # re-add's fence drops what the old incarnation left in flight.
+    # Unnumbered, the stale fork reached the fresh link and raised
+    # ForkDuplicationError on 33 of 40 seeds.
+    table = DiningTable(
+        ring(6),
+        seed=seed,
+        latency=UniformLatency(0.5, 3.0),
+        workload=AlwaysHungry(eat_time=0.3, think_time=0.01),
+        detector=scripted_detector(),
+        membership=_bounce_and_flip_log(),
+        check_invariants=False,
+    )
+    table.run(until=40.0)
+    assert table.network.dropped_count > 0
 
 
 def test_churn_verdict_names_the_same_properties_as_a_static_one():
