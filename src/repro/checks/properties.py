@@ -724,6 +724,9 @@ class WxSafetyChecker(Checker):
         # closed windows: (edge, start, end, event_index at open)
         self._windows: List[Tuple[Edge, float, float, int]] = []
         self.horizon: Optional[float] = None
+        # Set by finalize: the scoped windows, and those past ``settle``.
+        self.scoped: List[Tuple[Edge, float, float, int]] = []
+        self.late: List[Tuple[Edge, float, float, int]] = []
 
     def observe(self, event, index: int) -> Optional[List[Violation]]:
         self.observed += 1
@@ -774,6 +777,7 @@ class WxSafetyChecker(Checker):
         ]
         settle = self.settle
         late = [w for w in scoped if w[2] > settle] if settle is not None else []
+        self.scoped, self.late = scoped, late
         epoch_at = self._epoch_at
         violations = [
             Violation(
@@ -916,6 +920,8 @@ class OvertakingChecker(Checker):
         self._sessions: Dict[ProcessId, List[Tuple[float, float, int]]] = defaultdict(list)
         self._hungry_since: Dict[ProcessId, Tuple[float, int]] = {}
         self.horizon: Optional[float] = None
+        # Set by finalize: the largest count over the judged sessions.
+        self.max_judged = 0
 
     def observe(self, event, index: int) -> Optional[List[Violation]]:
         self.observed += 1
@@ -944,7 +950,7 @@ class OvertakingChecker(Checker):
             sessions_by_pid.setdefault(pid, []).append((start, horizon, index))
 
         after = self.after
-        max_all = 0
+        max_all = max_judged = 0
         violations: List[Violation] = []
         sessions_judged = 0
         for j, sessions in sessions_by_pid.items():
@@ -961,6 +967,8 @@ class OvertakingChecker(Checker):
                     count = bisect_left(starts, end) - bisect_left(starts, start)
                     if count > max_all:
                         max_all = count
+                    if judged and count > max_judged:
+                        max_judged = count
                     if judged and after is not None and count > self.bound:
                         violations.append(
                             Violation(
@@ -974,6 +982,7 @@ class OvertakingChecker(Checker):
                                 event_index=index,
                             )
                         )
+        self.max_judged = max_judged
         verdict = self._verdict(
             violations[:MAX_WITNESSES],
             max_overtaking=max_all,

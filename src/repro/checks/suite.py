@@ -223,6 +223,32 @@ class CheckSuite:
         )
 
 
+def eventual_checkers(
+    edges: Sequence[Edge], config: CheckConfig, *, membership=None
+) -> List[Checker]:
+    """The ◇WX, wait-freedom and ◇2-BW checkers of a :func:`standard_suite`.
+
+    ``edges`` is the union edge set, each ``(a, b)`` with ``a < b``; a
+    caller judging a recorded trace afresh (the dining table's queries)
+    gets the same judges as the run's own suite.
+    """
+    intervals = epoch_at = None
+    final_edges = edges
+    if membership is not None:
+        intervals = membership.edge_intervals()
+        epoch_at = membership.epoch_at
+        final_edges = tuple(sorted(membership.final().graph.edges))
+    return [
+        WxSafetyChecker(
+            edges, settle=config.settle, intervals=intervals, epoch_at=epoch_at
+        ),
+        ProgressChecker(patience=config.patience, correct=config.correct),
+        OvertakingChecker(
+            final_edges, bound=config.overtaking_bound, after=config.overtaking_after
+        ),
+    ]
+
+
 def standard_suite(
     edges: Sequence[Edge],
     config: Optional[CheckConfig] = None,
@@ -253,12 +279,7 @@ def standard_suite(
     """
     config = config or CheckConfig()
     edges = tuple(sorted(tuple(sorted(edge)) for edge in edges))
-    intervals = epoch_at = None
-    final_edges = edges
-    if membership is not None:
-        intervals = membership.edge_intervals()
-        epoch_at = membership.epoch_at
-        final_edges = tuple(sorted(membership.final().graph.edges))
+    epoch_at = membership.epoch_at if membership is not None else None
     checkers: List[Checker] = []
     if state_probes:
         checkers.append(ForkUniquenessChecker(edges))
@@ -270,17 +291,7 @@ def standard_suite(
         )
     )
     checkers.append(FifoChecker())
-    checkers.append(
-        WxSafetyChecker(
-            edges, settle=config.settle, intervals=intervals, epoch_at=epoch_at
-        )
-    )
-    checkers.append(ProgressChecker(patience=config.patience, correct=config.correct))
-    checkers.append(
-        OvertakingChecker(
-            final_edges, bound=config.overtaking_bound, after=config.overtaking_after
-        )
-    )
+    checkers.extend(eventual_checkers(edges, config, membership=membership))
     checkers.append(
         QuiescenceChecker(
             layer=config.layer,

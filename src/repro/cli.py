@@ -197,17 +197,18 @@ def cmd_dine(args: argparse.Namespace) -> int:
           f"detector {args.detector}, {args.crashes} crashes, horizon {args.horizon:g}")
     print(f"  total meals:           {sum(meals.values())}")
     print(f"  crashed:               {list(crash_plan.faulty) or 'none'}")
-    starving = table.starving_correct(patience=args.horizon * 0.4)
-    print(f"  starving correct:      {starving or 'none'}")
-    violations = table.violations()
     settle = max(args.convergence, crash_plan.last_crash_time + 1.0) + args.eat_time
     if real_detector:
         # A real detector announces no convergence instant: allow half the
         # post-GST window for the adaptive timeouts to absorb mistakes.
         settle = args.convergence + (args.horizon - args.convergence) * 0.5
-    late = table.violations_after(settle)
-    print(f"  exclusion violations:  {len(violations)} total, {len(late)} after t={settle:g}")
-    print(f"  max overtaking (late): {table.max_overtaking(after=settle)}")
+    # One finalize of the eventual checkers answers all four lines.
+    judged = table._judge(settle=settle, patience=args.horizon * 0.4, after=settle)
+    starving, late = judged.starving, judged.late
+    print(f"  starving correct:      {starving or 'none'}")
+    print(f"  exclusion violations:  {len(judged.violations)} total, "
+          f"{len(late)} after t={settle:g}")
+    print(f"  max overtaking (late): {judged.max_overtaking}")
     print(f"  peak msgs per edge:    {table.occupancy.max_occupancy} (bound 4)")
     if registry is not None:
         _write_metrics(registry.snapshot(), args.metrics)

@@ -30,11 +30,12 @@ with the diner construction signature.
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, NamedTuple, Optional
 
 from repro.checks.context import active_collector
-from repro.checks.properties import CHANNEL_BOUND, QUIESCENCE
-from repro.checks.suite import CheckConfig
+from repro.checks.properties import CHANNEL_BOUND, OVERTAKING, PROGRESS, QUIESCENCE, WX_SAFETY
+from repro.checks.stream import events_from_trace
+from repro.checks.suite import CheckConfig, CheckSuite, eventual_checkers
 from repro.checks.verdict import Verdict
 from repro.core.assembly import Wiring, schedule
 from repro.core.diner import DinerActor, EatCallback
@@ -199,6 +200,29 @@ def inaccurate_detector(
 # ----------------------------------------------------------------------
 # The table
 # ----------------------------------------------------------------------
+class OverlapWindow(NamedTuple):
+    """Live neighbors ``a`` < ``b`` both ate during ``[start, end)`` (◇WX);
+    ``start == end`` is a single state in which both ate."""
+
+    a: ProcessId
+    b: ProcessId
+    start: Instant
+    end: Instant
+
+
+class _Judgement(NamedTuple):
+    """What one finalize of the eventual checkers says about a table."""
+
+    violations: List[OverlapWindow]
+    late: List[OverlapWindow]
+    starving: List[ProcessId]
+    max_overtaking: int
+
+
+def _windows(scoped) -> List[OverlapWindow]:
+    return [OverlapWindow(a, b, start, end) for (a, b), start, end, _ in scoped]
+
+
 class DiningTable:
     """A fully wired dining simulation."""
 
@@ -408,24 +432,60 @@ class DiningTable:
         self.checks.bind_windows(settle, patience, after)
         return self.checks.finalize(self.sim.now)
 
-    def violations(self) -> List[analysis.ExclusionViolation]:
-        """All exclusion violations recorded so far."""
-        return analysis.exclusion_violations(self.trace, self.graph, horizon=self.sim.now)
+    def _judge(
+        self,
+        *,
+        settle: Optional[Instant] = None,
+        patience: Optional[float] = None,
+        after: Optional[Instant] = None,
+    ) -> _Judgement:
+        """Theorems 1–3 judged at ``now`` by fresh eventual checkers.
 
-    def violations_after(self, cutoff: Instant) -> List[analysis.ExclusionViolation]:
-        """Violations overlapping ``[cutoff, now)`` — Theorem 1 says none
-        once ``cutoff`` reaches detector convergence."""
-        return analysis.violations_after(self.trace, self.graph, cutoff, horizon=self.sim.now)
+        Built as the table's suite builds them and fed the trace's phase
+        and crash records, they leave the suite's bound windows alone and
+        work on ``check_invariants=False`` tables too.
+        """
+        config = CheckConfig(
+            settle=settle,
+            patience=patience,
+            overtaking_after=after,
+            correct=self.crash_plan.correct(self.wiring.residents),
+        )
+        suite = CheckSuite(
+            eventual_checkers(
+                sorted(self.union_graph.edges), config, membership=self.timeline
+            )
+        )
+        verdict = suite.feed(events_from_trace(self.trace)).finalize(self.sim.now)
+        wx, overtaking = suite.checker(WX_SAFETY), suite.checker(OVERTAKING)
+        return _Judgement(
+            _windows(wx.scoped),
+            _windows(wx.late),
+            verdict.properties[PROGRESS].details["starving"],
+            overtaking.max_judged,
+        )
+
+    def violations(self) -> List[OverlapWindow]:
+        """Every ◇WX overlap window so far (not only the verdict's witnesses)."""
+        return self._judge().violations
+
+    def violations_after(self, cutoff: Instant) -> List[OverlapWindow]:
+        """Windows that extend past ``cutoff`` (the ◇WX ``settle``).
+
+        Theorem 1 constrains meals *begun* after detector convergence: a
+        meal begun just before it under a final mistake may still run at
+        the convergence instant.  A sound ``cutoff`` is therefore
+        convergence plus the longest meal, and from there this is empty.
+        """
+        return self._judge(settle=cutoff).late
 
     def starving_correct(self, *, patience: float) -> List[ProcessId]:
         """Correct diners hungry for longer than ``patience`` at the horizon."""
-        return analysis.starving_processes(
-            self.trace, self.correct_pids, horizon=self.sim.now, patience=patience
-        )
+        return self._judge(patience=patience).starving
 
     def max_overtaking(self, *, after: Instant = 0.0) -> int:
-        """Worst per-session overtake count among sessions starting after ``after``."""
-        return analysis.max_overtaking(self.trace, self.graph, after=after, horizon=self.sim.now)
+        """Worst per-session overtake count among sessions starting at or after ``after``."""
+        return self._judge(after=after).max_overtaking
 
     def eat_counts(self) -> Dict[ProcessId, int]:
         return analysis.eat_counts(self.trace)

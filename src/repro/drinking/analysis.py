@@ -12,13 +12,24 @@ exist.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Tuple
 
 from repro.drinking.diner import ThirstDeclared
 from repro.graphs.conflict import ConflictGraph, ProcessId
 from repro.timebase import Instant
-from repro.trace.analysis import ExclusionViolation, eating_intervals
+from repro.trace.analysis import eating_intervals
 from repro.trace.recorder import TraceRecorder
+
+
+@dataclass(frozen=True)
+class ExclusionViolation:
+    """Two live neighbors drank simultaneously during ``[start, end)``."""
+
+    a: ProcessId
+    b: ProcessId
+    start: Instant
+    end: Instant
 
 
 def demand_at(

@@ -20,7 +20,7 @@ Wait-freedom survives under it — suspicion only ever unblocks.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 from repro.core import AlwaysHungry, DiningTable, scripted_detector
 from repro.core.table import inaccurate_detector, incomplete_detector
@@ -47,12 +47,8 @@ CLAIM = (
 )
 
 
-def _run(
-    oracle: str,
-    *,
-    horizon: float,
-    seed: int,
-) -> Dict[str, object]:
+def necessity_table(oracle: str, *, horizon: float, seed: int) -> Tuple[DiningTable, str]:
+    """The probe's table (not yet run) and the ◇P₁ property its oracle breaks."""
     graph = topologies.ring(6)
     crash_plan = CrashPlan.scripted({2: 20.0})
     broken = "none"
@@ -89,6 +85,16 @@ def _run(
         crash_plan=crash_plan,
         workload=workload,
     )
+    return table, broken
+
+
+def _run(
+    oracle: str,
+    *,
+    horizon: float,
+    seed: int,
+) -> Dict[str, object]:
+    table, broken = necessity_table(oracle, horizon=horizon, seed=seed)
     table.run(until=horizon)
     starving = table.starving_correct(patience=horizon * 0.4)
     violations = table.violations()

@@ -51,8 +51,6 @@ from repro.checks import (
     CHANNEL_BOUND,
     DINER_LOCAL,
     FORK_UNIQUENESS,
-    PROGRESS,
-    WX_SAFETY,
     CheckConfig,
     PropertyVerdict,
     Verdict,
@@ -223,9 +221,7 @@ class ClusterVerdict:
 
     ``checks`` is the shared :class:`repro.checks.Verdict` — the same
     type every substrate emits — judged over the merged check-event
-    stream with the per-host state-based properties adopted in.  The
-    legacy summary accessors (``exclusion_total``, ``starving``, …) read
-    straight out of it.
+    stream with the per-host state-based properties adopted in.
     """
 
     ok: bool
@@ -243,28 +239,10 @@ class ClusterVerdict:
     #: was off); ``leaked_leases`` here must be zero on a clean run.
     locks: Optional[Dict[str, object]] = None
 
-    def _counter(self, prop: str, name: str) -> int:
-        verdict = self.checks.properties.get(prop)
-        return int(verdict.counters.get(name, 0)) if verdict is not None else 0
-
-    @property
-    def exclusion_total(self) -> int:
-        return self._counter(WX_SAFETY, "overlap_windows_total")
-
-    @property
-    def exclusion_late(self) -> int:
-        return self._counter(WX_SAFETY, "late_windows_total")
-
-    @property
-    def starving(self) -> List[int]:
-        verdict = self.checks.properties.get(PROGRESS)
-        if verdict is None:
-            return []
-        return list(verdict.details.get("starving", []))
-
     @property
     def max_in_transit(self) -> int:
-        return self._counter(CHANNEL_BOUND, "max_in_transit")
+        verdict = self.checks.properties.get(CHANNEL_BOUND)
+        return int(verdict.counters.get("max_in_transit", 0)) if verdict is not None else 0
 
     @classmethod
     def unmerged(cls, failures: List[str]) -> "ClusterVerdict":

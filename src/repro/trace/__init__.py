@@ -1,12 +1,11 @@
 """Measurement substrate: trace records, recorder, analysis.
 
-Online invariant checking moved to the substrate-agnostic
-:mod:`repro.checks` subsystem; this package records and measures runs,
-it no longer judges them.
+This package records and measures runs; it does not judge them.  Every
+paper property, Theorems 1–3 included, is judged by the
+substrate-agnostic :mod:`repro.checks` subsystem.
 """
 
 from repro.trace.analysis import (
-    ExclusionViolation,
     jain_fairness_index,
     Interval,
     all_response_times,
@@ -14,15 +13,9 @@ from repro.trace.analysis import (
     eat_counts,
     eat_starts,
     eating_intervals,
-    exclusion_violations,
     hungry_sessions,
-    last_violation_end,
-    max_overtaking,
-    overtake_counts,
     response_times,
-    starving_processes,
     throughput,
-    violations_after,
 )
 from repro.trace.events import (
     EATING,
@@ -44,7 +37,6 @@ __all__ = [
     "Crash",
     "DoorwayChange",
     "EATING",
-    "ExclusionViolation",
     "HUNGRY",
     "Interval",
     "PHASES",
@@ -62,18 +54,12 @@ __all__ = [
     "eat_counts",
     "eat_starts",
     "eating_intervals",
-    "exclusion_violations",
     "hungry_sessions",
     "jain_fairness_index",
-    "last_violation_end",
     "load_jsonl",
     "load_path",
-    "max_overtaking",
-    "overtake_counts",
     "render_meal_ledger",
     "render_timeline",
     "response_times",
-    "starving_processes",
     "throughput",
-    "violations_after",
 ]

@@ -1,33 +1,24 @@
 """Trace analysis: the measurements behind every experiment.
 
-The paper's claims are statements about runs — "there exists a time after
-which no two live neighbors eat simultaneously", "no process overtakes a
-hungry neighbor more than twice".  This module turns a recorded trace into
-exactly those quantities:
+This module turns a recorded trace into the quantities the experiments
+measure; whether a run satisfies Theorems 1–3 (◇WX, wait-freedom,
+◇2-bounded waiting) is judged by the checkers of :mod:`repro.checks`,
+which the dining table's queries read.
 
 * :func:`eating_intervals` / :func:`hungry_sessions` — per-process phase
   intervals reconstructed from :class:`~repro.trace.events.PhaseChange`
   records (truncated at crashes: a crashed process executes nothing);
-* :func:`exclusion_violations` — overlapping eating intervals of live
-  neighbors, with the overlap window (Theorem 1: finitely many, none after
-  detector convergence);
-* :func:`starving_processes` — correct diners whose final hungry session
-  never ends (Theorem 2: always empty for Algorithm 1; non-empty for the
-  crash-oblivious baseline once anything crashes);
-* :func:`overtake_counts` / :func:`max_overtaking` — how many times a
-  diner entered eating during one continuous hungry session of a neighbor
-  (Theorem 3: at most 2 for sessions starting after convergence);
-* :func:`response_times`, :func:`eat_counts`, :func:`throughput` —
-  performance measures for the scalability experiment.
+* :func:`response_times`, :func:`eat_counts`, :func:`throughput`,
+  :func:`jain_fairness_index` — performance measures for the
+  scalability and fairness experiments.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional
 
-from repro.graphs.conflict import ConflictGraph
 from repro.timebase import Instant
 from repro.trace.events import EATING, HUNGRY, Crash, PhaseChange, ProcessId
 from repro.trace.recorder import TraceRecorder
@@ -50,19 +41,6 @@ class Interval:
     @property
     def length(self) -> float:
         return self.end - self.start
-
-    def overlaps(self, other: "Interval") -> bool:
-        return max(self.start, other.start) < min(self.end, other.end)
-
-
-@dataclass(frozen=True)
-class ExclusionViolation:
-    """Two live neighbors ate simultaneously during ``[start, end)``."""
-
-    a: ProcessId
-    b: ProcessId
-    start: Instant
-    end: Instant
 
 
 def crash_times(trace: TraceRecorder) -> Dict[ProcessId, Instant]:
@@ -131,140 +109,6 @@ def eat_counts(trace: TraceRecorder) -> Dict[ProcessId, int]:
         if change.new_phase == EATING:
             counts[change.pid] = counts.get(change.pid, 0) + 1
     return counts
-
-
-# ----------------------------------------------------------------------
-# Safety (Theorem 1)
-# ----------------------------------------------------------------------
-def exclusion_violations(
-    trace: TraceRecorder, graph: ConflictGraph, *, horizon: Instant = math.inf
-) -> List[ExclusionViolation]:
-    """All windows during which two live neighbors ate simultaneously.
-
-    Eating intervals are already truncated at crash instants, so a process
-    that crashed mid-meal stops counting as eating from its crash time —
-    matching the theorem's "live neighbors".
-    """
-    by_pid = {pid: eating_intervals(trace, pid, horizon=horizon) for pid in graph.nodes}
-    violations: List[ExclusionViolation] = []
-    for a, b in sorted(graph.edges):
-        for meal_a in by_pid[a]:
-            for meal_b in by_pid[b]:
-                start = max(meal_a.start, meal_b.start)
-                end = min(meal_a.end, meal_b.end)
-                if start < end:
-                    violations.append(ExclusionViolation(a, b, start, end))
-    violations.sort(key=lambda v: (v.start, v.a, v.b))
-    return violations
-
-
-def last_violation_end(
-    trace: TraceRecorder, graph: ConflictGraph, *, horizon: Instant = math.inf
-) -> Optional[Instant]:
-    """End of the final exclusion violation, or None if the run was clean."""
-    violations = exclusion_violations(trace, graph, horizon=horizon)
-    return max((v.end for v in violations), default=None)
-
-
-def violations_after(
-    trace: TraceRecorder,
-    graph: ConflictGraph,
-    cutoff: Instant,
-    *,
-    horizon: Instant = math.inf,
-) -> List[ExclusionViolation]:
-    """Violations any part of which occurs at or after ``cutoff``.
-
-    Theorem 1 predicts this list is empty for a late-enough ``cutoff``.
-    Note the proof's exact shape: it guarantees that no meal *begun* after
-    detector convergence conflicts with a correct neighbor — a meal begun
-    just before convergence under a final mistake may still be in progress
-    at (and overlap slightly past) the convergence instant.  A sound
-    cutoff is therefore ``convergence_time + the maximum eating duration``
-    (all pre-convergence meals have ended by then; from then on, every
-    running meal was begun post-convergence and holds its forks).
-    """
-    return [
-        v for v in exclusion_violations(trace, graph, horizon=horizon) if v.end > cutoff
-    ]
-
-
-# ----------------------------------------------------------------------
-# Progress (Theorem 2)
-# ----------------------------------------------------------------------
-def starving_processes(
-    trace: TraceRecorder,
-    correct: Iterable[ProcessId],
-    *,
-    horizon: Instant,
-    patience: float = 0.0,
-) -> List[ProcessId]:
-    """Correct processes still hungry and unserved at the horizon.
-
-    ``patience`` excludes sessions that started within ``patience`` of the
-    horizon — those diners are waiting, not starving.  Experiments choose
-    a patience generously larger than the observed worst-case response
-    time of the wait-free algorithm, so a baseline process flagged here is
-    genuinely blocked (its doorway or fork will never arrive), not slow.
-    """
-    starving: List[ProcessId] = []
-    for pid in sorted(set(correct)):
-        sessions = hungry_sessions(trace, pid, horizon=horizon)
-        if not sessions:
-            continue
-        last = sessions[-1]
-        if not last.served and math.isfinite(horizon):
-            if last.start <= horizon - patience:
-                starving.append(pid)
-        elif not last.served and not math.isfinite(horizon):
-            starving.append(pid)
-    return starving
-
-
-# ----------------------------------------------------------------------
-# Fairness (Theorem 3)
-# ----------------------------------------------------------------------
-def overtake_counts(
-    trace: TraceRecorder,
-    graph: ConflictGraph,
-    *,
-    after: Instant = 0.0,
-    horizon: Instant = math.inf,
-) -> Dict[Tuple[ProcessId, ProcessId], int]:
-    """Worst per-session overtaking, per ordered neighbor pair.
-
-    ``result[(i, j)]`` is the maximum, over hungry sessions of *j* that
-    start at or after ``after``, of how many times *i* entered eating
-    during that session.  Theorem 3: once ``after`` is past convergence
-    (and past the last pre-convergence backlog), every value is ≤ 2 for
-    Algorithm 1.
-    """
-    starts = {pid: eat_starts(trace, pid) for pid in graph.nodes}
-    worst: Dict[Tuple[ProcessId, ProcessId], int] = {}
-    for j in graph.nodes:
-        for session in hungry_sessions(trace, j, horizon=horizon):
-            if session.start < after:
-                continue
-            for i in graph.neighbors(j):
-                count = sum(
-                    1 for t in starts[i] if session.start <= t < session.end
-                )
-                key = (i, j)
-                if count > worst.get(key, 0):
-                    worst[key] = count
-    return worst
-
-
-def max_overtaking(
-    trace: TraceRecorder,
-    graph: ConflictGraph,
-    *,
-    after: Instant = 0.0,
-    horizon: Instant = math.inf,
-) -> int:
-    """Largest per-session overtake count over all neighbor pairs."""
-    counts = overtake_counts(trace, graph, after=after, horizon=horizon)
-    return max(counts.values(), default=0)
 
 
 # ----------------------------------------------------------------------

@@ -3,9 +3,10 @@
 Every observable fact the experiments reason about is captured as one of
 the record types below, emitted into a
 :class:`~repro.trace.recorder.TraceRecorder` as the simulation runs.  The
-analysis layer (:mod:`repro.trace.analysis`) reconstructs hungry sessions,
-eating intervals, exclusion violations, and overtake counts purely from
-the trace — algorithms are never asked questions retroactively.
+analysis layer (:mod:`repro.trace.analysis`) reconstructs hungry sessions
+and eating intervals, and the checkers of :mod:`repro.checks` judge
+exclusion and overtaking, purely from the trace — algorithms are never
+asked questions retroactively.
 
 Phase names are plain strings (module constants below) so this layer stays
 independent of any particular dining implementation; the core and baseline

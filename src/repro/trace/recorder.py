@@ -134,12 +134,6 @@ class TraceRecorder:
             return records
         return [r for r in records if r.pid == pid]
 
-    def doorway_changes(self, pid: Optional[int] = None) -> List[DoorwayChange]:
-        records = self.of_type(DoorwayChange)
-        if pid is None:
-            return records
-        return [r for r in records if r.pid == pid]
-
     def crashes(self) -> List[Crash]:
         return self.of_type(Crash)
 

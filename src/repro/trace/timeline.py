@@ -1,8 +1,7 @@
 """ASCII timeline rendering of dining traces.
 
 Turns a recorded trace into a per-diner lane chart — the fastest way to
-*see* a run: hungry stretches, meals, doorway occupancy, crashes, and
-(optionally) the exclusion violations between neighbor lanes.
+*see* a run: hungry stretches, meals and crashes.
 
 ::
 
@@ -13,8 +12,8 @@ Turns a recorded trace into a per-diner lane chart — the fastest way to
         legend: . thinking   h hungry   # eating   x crashed
 
 Rendering is resolution-based sampling (one character per bucket), which
-is honest about what it is: a visualization, not a measurement — analysis
-queries stay in :mod:`repro.trace.analysis`.
+is honest about what it is: a visualization, not a measurement —
+measurements stay in :mod:`repro.trace.analysis`.
 """
 
 from __future__ import annotations

@@ -171,6 +171,21 @@ class TestE9Necessity:
         assert by_oracle["inaccurate"]["wait_free"] == "yes"
         assert by_oracle["inaccurate"]["eventual_wx"] == "NO"
 
+    def test_table_counts_the_window_open_at_the_horizon(self):
+        # At t=300, the horizon, 4 begins eating while 5 still eats: one
+        # state in which both eat.  The table's query and the verdict are
+        # the same judge, so both count it.
+        from repro.experiments.e9_necessity import necessity_table
+
+        table, _ = necessity_table("inaccurate", horizon=300.0, seed=9)
+        table.run(until=300.0)
+        windows = table.violations()
+        verdict = table.verdict(settle=150.0)
+        wx = verdict.properties["wx-safety"]
+        assert len(windows) == wx.counters["overlap_windows_total"] == 49
+        assert (4, 5, 300.0, 300.0) in [(w.a, w.b, w.start, w.end) for w in windows]
+        assert len(table.violations_after(150.0)) == wx.counters["late_windows_total"] == 26
+
 
 class TestE10Drinking:
     def test_concurrency_monotone_in_thinning_demand(self):

@@ -3,11 +3,14 @@
 
 from hypothesis import given, settings, strategies as st
 
+from repro.checks.properties import WxSafetyChecker
+from repro.checks.stream import events_from_trace
+from repro.checks.suite import CheckSuite
 from repro.graphs.coloring import dsatur_coloring, greedy_coloring, validate_coloring
 from repro.graphs.conflict import ConflictGraph
 from repro.sim.events import EventPriority, EventQueue
 from repro.sim.rng import RandomStreams
-from repro.trace.analysis import eating_intervals, exclusion_violations, hungry_sessions
+from repro.trace.analysis import eating_intervals, hungry_sessions
 from repro.trace.events import EATING, HUNGRY, THINKING
 from repro.trace.recorder import TraceRecorder
 
@@ -186,12 +189,14 @@ def test_violations_symmetric_in_clique(history):
     if n < 2:
         return
     graph = ConflictGraph(range(n), [(i, j) for i in range(n) for j in range(i + 1, n)])
-    violations = exclusion_violations(trace, graph, horizon=1000.0)
-    for violation in violations:
-        assert violation.start < violation.end
-        assert graph.are_neighbors(violation.a, violation.b)
+    wx = WxSafetyChecker(sorted(graph.edges))
+    CheckSuite([wx]).feed(events_from_trace(trace)).finalize(1000.0)
+    for (a, b), start, end, _ in wx.scoped:
+        # A zero-length window is one state in which both ate.
+        assert start <= end
+        assert graph.are_neighbors(a, b)
         # The overlap really is covered by meals of both processes.
-        meals_a = eating_intervals(trace, violation.a, horizon=1000.0)
-        meals_b = eating_intervals(trace, violation.b, horizon=1000.0)
-        assert any(m.start <= violation.start and m.end >= violation.end for m in meals_a)
-        assert any(m.start <= violation.start and m.end >= violation.end for m in meals_b)
+        meals_a = eating_intervals(trace, a, horizon=1000.0)
+        meals_b = eating_intervals(trace, b, horizon=1000.0)
+        assert any(m.start <= start and m.end >= end for m in meals_a)
+        assert any(m.start <= start and m.end >= end for m in meals_b)

@@ -1,9 +1,15 @@
-"""Unit tests for the trace recorder and analysis functions.
+"""Unit tests for the trace recorder, analysis, and the eventual checkers.
 
-Analysis tests build traces by hand so every quantity has a known answer.
+Tests build traces by hand so every quantity has a known answer.  The
+measurements come from :mod:`repro.trace.analysis`; the ◇WX,
+wait-freedom and ◇2-BW judgements come from the checkers of
+:mod:`repro.checks`, fed the same traces in time order.
 """
 
+import math
 
+from repro.checks.stream import events_from_trace
+from repro.checks.suite import CheckConfig, CheckSuite, eventual_checkers
 from repro.graphs import path, ring
 from repro.trace import (
     EATING,
@@ -15,15 +21,9 @@ from repro.trace import (
     eat_counts,
     eat_starts,
     eating_intervals,
-    exclusion_violations,
     hungry_sessions,
-    last_violation_end,
-    max_overtaking,
-    overtake_counts,
     response_times,
-    starving_processes,
     throughput,
-    violations_after,
 )
 
 
@@ -183,107 +183,128 @@ class TestIntervals:
         assert eat_counts(trace) == {0: 2}
 
 
+def judge(events, graph, *, horizon=math.inf, correct=None, settle=None, patience=None, after=None):
+    """The finalized ◇WX, progress and overtaking checkers over ``events``.
+
+    A recorder writes records in time order, so the hand-built events are
+    fed that way (a stable sort keeps same-instant records in list order).
+    """
+    trace = make_trace(sorted(events, key=lambda e: e[1] if e[0] == "crash" else e[0]))
+    config = CheckConfig(
+        settle=settle, patience=patience, overtaking_after=after, correct=correct
+    )
+    suite = CheckSuite(eventual_checkers(sorted(graph.edges), config))
+    verdict = suite.feed(events_from_trace(trace)).finalize(horizon)
+    wx, progress, overtaking = suite.checkers
+    return wx, verdict.properties[progress.name], overtaking
+
+
+def windows(wx):
+    return [(a, b, start, end) for (a, b), start, end, _ in wx.scoped]
+
+
 class TestExclusionViolations:
     def test_overlapping_neighbor_meals_detected(self):
-        graph = path(2)
-        trace = make_trace(full_cycle(0, 0.0, 1.0, 5.0) + full_cycle(1, 0.0, 3.0, 7.0))
-        violations = exclusion_violations(trace, graph)
-        assert len(violations) == 1
-        v = violations[0]
-        assert (v.a, v.b, v.start, v.end) == (0, 1, 3.0, 5.0)
+        events = full_cycle(0, 0.0, 1.0, 5.0) + full_cycle(1, 0.0, 3.0, 7.0)
+        wx, _, _ = judge(events, path(2))
+        assert windows(wx) == [(0, 1, 3.0, 5.0)]
 
     def test_touching_meals_do_not_overlap(self):
-        graph = path(2)
-        trace = make_trace(full_cycle(0, 0.0, 1.0, 3.0) + full_cycle(1, 0.0, 3.0, 5.0))
-        assert exclusion_violations(trace, graph) == []
+        # 0 stops at 3.0 and 1 starts at 3.0, the stop recorded first.
+        events = full_cycle(0, 0.0, 1.0, 3.0) + full_cycle(1, 0.0, 3.0, 5.0)
+        wx, _, _ = judge(events, path(2))
+        assert windows(wx) == []
 
     def test_non_neighbors_may_eat_together(self):
         graph = path(3)  # 0-1-2: 0 and 2 are not neighbors
-        trace = make_trace(full_cycle(0, 0.0, 1.0, 5.0) + full_cycle(2, 0.0, 1.0, 5.0))
-        assert exclusion_violations(trace, graph) == []
+        events = full_cycle(0, 0.0, 1.0, 5.0) + full_cycle(2, 0.0, 1.0, 5.0)
+        wx, _, _ = judge(events, graph)
+        assert windows(wx) == []
 
     def test_crash_truncation_ends_violation(self):
         # 1 crashes at 4.0 while both eat from 3.0; overlap is [3, 4).
-        graph = path(2)
-        trace = make_trace(
-            full_cycle(0, 0.0, 1.0, 9.0)
-            + [(0.0, 1, THINKING, HUNGRY), (3.0, 1, HUNGRY, EATING), ("crash", 4.0, 1)]
-        )
-        violations = exclusion_violations(trace, graph, horizon=20.0)
-        assert len(violations) == 1
-        assert violations[0].end == 4.0
+        events = full_cycle(0, 0.0, 1.0, 9.0) + [
+            (0.0, 1, THINKING, HUNGRY),
+            (3.0, 1, HUNGRY, EATING),
+            ("crash", 4.0, 1),
+        ]
+        wx, _, _ = judge(events, path(2), horizon=20.0)
+        assert windows(wx) == [(0, 1, 3.0, 4.0)]
 
     def test_last_violation_end_and_after(self):
-        graph = path(2)
-        trace = make_trace(full_cycle(0, 0.0, 1.0, 5.0) + full_cycle(1, 0.0, 3.0, 7.0))
-        assert last_violation_end(trace, graph) == 5.0
-        assert violations_after(trace, graph, 5.0) == []
-        assert len(violations_after(trace, graph, 4.0)) == 1
+        events = full_cycle(0, 0.0, 1.0, 5.0) + full_cycle(1, 0.0, 3.0, 7.0)
+        wx, _, _ = judge(events, path(2), settle=5.0)
+        assert wx.finalize().counters["last_overlap_end"] == 5.0
+        assert wx.late == []
+        wx.settle = 4.0
+        wx.finalize()
+        assert len(wx.late) == 1
 
     def test_clean_trace_has_none(self):
-        graph = ring(3)
-        trace = make_trace(full_cycle(0, 0.0, 1.0, 2.0) + full_cycle(1, 2.0, 3.0, 4.0))
-        assert last_violation_end(trace, graph) is None
+        events = full_cycle(0, 0.0, 1.0, 2.0) + full_cycle(1, 2.0, 3.0, 4.0)
+        wx, _, _ = judge(events, ring(3))
+        assert "last_overlap_end" not in wx.finalize().counters
 
 
 class TestStarvation:
     def test_unserved_old_session_flags(self):
-        trace = make_trace([(1.0, 0, THINKING, HUNGRY)])
-        assert starving_processes(trace, [0], horizon=100.0, patience=50.0) == [0]
+        events = [(1.0, 0, THINKING, HUNGRY)]
+        _, progress, _ = judge(events, path(2), horizon=100.0, correct=[0], patience=50.0)
+        assert progress.details["starving"] == [0]
 
     def test_recent_session_is_patient(self):
-        trace = make_trace([(80.0, 0, THINKING, HUNGRY)])
-        assert starving_processes(trace, [0], horizon=100.0, patience=50.0) == []
+        events = [(80.0, 0, THINKING, HUNGRY)]
+        _, progress, _ = judge(events, path(2), horizon=100.0, correct=[0], patience=50.0)
+        assert progress.details["starving"] == []
 
     def test_served_processes_not_flagged(self):
-        trace = make_trace(full_cycle(0, 1.0, 2.0, 3.0))
-        assert starving_processes(trace, [0], horizon=100.0, patience=10.0) == []
+        events = full_cycle(0, 1.0, 2.0, 3.0)
+        _, progress, _ = judge(events, path(2), horizon=100.0, correct=[0], patience=10.0)
+        assert progress.details["starving"] == []
 
     def test_never_hungry_not_flagged(self):
-        trace = TraceRecorder()
-        assert starving_processes(trace, [0, 1], horizon=100.0, patience=10.0) == []
+        _, progress, _ = judge([], path(2), horizon=100.0, correct=[0, 1], patience=10.0)
+        assert progress.details["starving"] == []
 
     def test_only_listed_pids_considered(self):
-        trace = make_trace([(1.0, 0, THINKING, HUNGRY), (1.0, 1, THINKING, HUNGRY)])
-        assert starving_processes(trace, [1], horizon=100.0, patience=10.0) == [1]
+        events = [(1.0, 0, THINKING, HUNGRY), (1.0, 1, THINKING, HUNGRY)]
+        _, progress, _ = judge(events, path(2), horizon=100.0, correct=[1], patience=10.0)
+        assert progress.details["starving"] == [1]
 
 
 class TestOvertaking:
     def test_counts_eats_within_session(self):
-        graph = path(2)
         # 1 hungry [0, 100) unserved; 0 eats three times inside that window.
         events = [(0.0, 1, THINKING, HUNGRY)]
         for k in range(3):
             events += full_cycle(0, 10.0 * k + 1, 10.0 * k + 2, 10.0 * k + 3)
-        trace = make_trace(events)
-        counts = overtake_counts(trace, graph, horizon=100.0)
-        assert counts[(0, 1)] == 3
-        assert max_overtaking(trace, graph, horizon=100.0) == 3
+        _, _, overtaking = judge(events, path(2), horizon=100.0, after=0.0)
+        assert overtaking.max_judged == 3
+        assert overtaking.finalize().violations[0].subject == (0, 1)
 
     def test_eats_outside_session_not_counted(self):
-        graph = path(2)
         events = full_cycle(0, 1.0, 2.0, 3.0)  # 0 eats at 2.0
         events += [(5.0, 1, THINKING, HUNGRY)]  # 1 hungry later
-        trace = make_trace(events)
-        assert max_overtaking(trace, graph, horizon=100.0) == 0
+        _, _, overtaking = judge(events, path(2), horizon=100.0, after=0.0)
+        assert overtaking.max_judged == 0
 
     def test_after_cutoff_filters_sessions(self):
-        graph = path(2)
         events = [(0.0, 1, THINKING, HUNGRY), (50.0, 1, HUNGRY, EATING), (51.0, 1, EATING, THINKING)]
         for k in range(3):
             events += full_cycle(0, 10.0 * k + 1, 10.0 * k + 2, 10.0 * k + 3)
-        trace = make_trace(events)
-        assert max_overtaking(trace, graph, after=0.0, horizon=100.0) == 3
+        _, _, overtaking = judge(events, path(2), horizon=100.0, after=0.0)
+        assert overtaking.max_judged == 3
         # Sessions starting after t=10 exclude the only (early) session.
-        assert max_overtaking(trace, graph, after=10.0, horizon=100.0) == 0
+        overtaking.after = 10.0
+        overtaking.finalize()
+        assert overtaking.max_judged == 0
 
     def test_eat_at_session_end_instant_not_counted(self):
-        graph = path(2)
         events = [(0.0, 1, THINKING, HUNGRY), (5.0, 1, HUNGRY, EATING), (6.0, 1, EATING, THINKING)]
         events += [(4.0, 0, THINKING, HUNGRY), (5.0, 0, HUNGRY, EATING), (6.0, 0, EATING, THINKING)]
-        trace = make_trace(events)
         # 0 starts eating exactly when 1's session ends: not an overtake.
-        assert overtake_counts(trace, graph, horizon=10.0).get((0, 1), 0) == 0
+        _, _, overtaking = judge(events, path(2), horizon=10.0, after=0.0)
+        assert overtaking.max_judged == 0
 
 
 class TestPerformance:
