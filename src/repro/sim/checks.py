@@ -167,8 +167,10 @@ class KernelCheckAdapter(NetworkMonitor):
         # whose local flags may have changed since the last step probe.
         # Link-granular on purpose: under steady ping traffic almost
         # every diner is touched every step, and probing one link beats
-        # re-scanning the whole diner.
-        self._dirty_pairs: set = set()
+        # re-scanning the whole diner.  A dict, not a set: the probe
+        # walks it in marking order, so witness order cannot follow
+        # ``hash(None)``, which is address-based before CPython 3.12.
+        self._dirty_pairs: dict = {}
         # [wire events seen, sends to never-crashing destinations,
         # in-order FIFO consumes, first-outstanding ping sends, acks
         # retiring pings] — deferred ``observed`` bookkeeping, reconciled
@@ -274,7 +276,7 @@ class KernelCheckAdapter(NetworkMonitor):
             # events pay one probe of exactly the touched slice.
             if sim._post_event is None:
                 sim._post_event = on_step
-            dirty_pairs.add(pair)
+            dirty_pairs[pair] = None
 
         def mark_edge(edge):
             if sim._post_event is None:

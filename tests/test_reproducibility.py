@@ -5,8 +5,14 @@ accidental nondeterminism (hash-order iteration, wall-clock use, shared
 RNG state) breaks them immediately.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.baselines import choy_singh_table, edge_reversal_table, fork_priority_table
 from repro.core import AlwaysHungry, DiningTable, PoissonWorkload, heartbeat_detector, scripted_detector
 from repro.drinking import RandomThirst, drinking_table
@@ -107,3 +113,33 @@ class TestReportGenerator:
         assert lines[1] == "|---|---|"
         assert "| 1 | 2.35 |" in text
         assert "| - | x |" in text
+
+
+# A mutant whose diner-local witnesses come from whole-diner re-checks:
+# their order once followed ``hash(None)``, which is address-based before
+# CPython 3.12, so it changed from interpreter to interpreter.
+_VERDICT_SCRIPT = """
+import json
+from repro.faults import run_plan_kernel, sample_plan
+for index in range(4):
+    plan = sample_plan(
+        topology="ring", n=6, seed=0, index=index, mutant="dropped-doorway-reset"
+    )
+    print(json.dumps(run_plan_kernel(plan).verdict.to_json(), sort_keys=True))
+"""
+
+
+def test_verdict_json_is_byte_stable_across_interpreters():
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    outputs = [
+        subprocess.run(
+            [sys.executable, "-c", _VERDICT_SCRIPT],
+            env=env,
+            capture_output=True,
+            check=True,
+        ).stdout
+        for _ in range(3)
+    ]
+    assert b"diner-local" in outputs[0]
+    assert outputs[0] == outputs[1] == outputs[2]
