@@ -18,6 +18,10 @@
 * :mod:`lehmann_rabin` — randomized fork-order dining (symmetric and
   oracle-free; progress only with probability 1, judged over seed
   ensembles);
+* :mod:`classic` — ``ClassicDiner``, the session shell (timers, phase
+  and crash records, crash-oblivious membership) that edge reversal, the
+  bakery, Ricart–Agrawala and Lehmann–Rabin share, each keeping only its
+  protocol;
 * :mod:`messages` — the wire vocabulary the bakery / Ricart–Agrawala /
   Lehmann–Rabin diners speak;
 * :mod:`bakeoff` — the comparative harness racing the whole zoo through

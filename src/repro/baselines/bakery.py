@@ -41,19 +41,13 @@ Failure modes, by construction:
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Set, Tuple
+from typing import Dict, Set, Tuple
 
+from repro.baselines.classic import ClassicDiner
 from repro.baselines.messages import BakeryNumber, BakeryOk, BakeryQuery, BakeryRequest
-from repro.core.diner import EatCallback
-from repro.core.state import DinerState
-from repro.core.table import DiningTable, null_detector
-from repro.core.workload import Workload
-from repro.detectors.base import FailureDetector
+from repro.core.table import DiningTable, fixed_table, null_detector
 from repro.errors import ConfigurationError
-from repro.graphs.coloring import Coloring
 from repro.graphs.conflict import ConflictGraph, ProcessId
-from repro.sim.actor import Actor
-from repro.trace.recorder import TraceRecorder
 
 
 def bakery_precedes(a: Tuple[int, int], b: Tuple[int, int]) -> bool:
@@ -66,37 +60,14 @@ def bakery_precedes(a: Tuple[int, int], b: Tuple[int, int]) -> bool:
     return a < b
 
 
-class BakeryDiner(Actor):
+class BakeryDiner(ClassicDiner):
     """One bakery customer on the conflict graph."""
 
-    def __init__(
-        self,
-        pid: ProcessId,
-        graph: ConflictGraph,
-        coloring: Coloring,
-        detector: FailureDetector,  # unused: the bakery is crash-oblivious
-        workload: Workload,
-        trace: TraceRecorder,
-        *,
-        on_eat: Optional[EatCallback] = None,
-        neighbors: Optional[tuple] = None,
-    ) -> None:
-        super().__init__(pid)
-        if pid not in graph:
-            raise ConfigurationError(f"process {pid} is not in the conflict graph")
-        self.graph = graph
-        self.workload = workload
-        self.trace = trace
-        self.on_eat = on_eat
-        self.state = DinerState.THINKING
-        if neighbors is None:
-            self.neighbors: Set[ProcessId] = set(graph.neighbors(pid))
-        else:
-            self.neighbors = {int(n) for n in neighbors}
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
         self.choosing = False
         self.number = 0
         self.last_number = 0
-        self.meals_eaten = 0
         self._pending_numbers: Set[ProcessId] = set()
         self._max_seen = 0
         self._pending_oks: Set[ProcessId] = set()
@@ -105,47 +76,12 @@ class BakeryDiner(Actor):
         # They cannot be compared until our own ticket is fixed.
         self._undecided: Dict[ProcessId, int] = {}
 
-    # -- introspection (invariant checkers, experiments, tests) ---------
-    @property
-    def phase(self) -> str:
-        return self.state.phase
-
-    @property
-    def is_hungry(self) -> bool:
-        return self.state is DinerState.HUNGRY
-
-    @property
-    def is_eating(self) -> bool:
-        return self.state is DinerState.EATING
-
     @property
     def ticket(self) -> Tuple[int, int]:
         """This diner's current bakery priority, as ``(number, pid)``."""
         return (self.number, self.pid)
 
-    def holds_fork(self, neighbor: ProcessId) -> bool:
-        return False  # the bakery has no forks
-
-    def holds_token(self, neighbor: ProcessId) -> bool:
-        return False
-
-    # -- lifecycle -------------------------------------------------------
-    def on_start(self) -> None:
-        self._schedule_next_hunger()
-
-    def on_crash(self) -> None:
-        self.trace.crash(self.now, self.pid)
-
-    def _schedule_next_hunger(self) -> None:
-        duration = self.workload.think_duration(self.pid, self.streams)
-        if duration is None:
-            return
-        self.set_timer(duration, self._become_hungry, label=f"hunger@{self.pid}")
-
-    def _become_hungry(self) -> None:
-        if self.state is not DinerState.THINKING:
-            return
-        self._set_state(DinerState.HUNGRY)
+    def _compete(self) -> None:
         self.choosing = True
         self._max_seen = 0
         self._pending_numbers = set(self.neighbors)
@@ -205,39 +141,14 @@ class BakeryDiner(Actor):
                 f"bakery diner {self.pid} got unexpected {message!r} from {src}"
             )
 
-    def _eat(self) -> None:
-        self._set_state(DinerState.EATING)
-        self.meals_eaten += 1
-        duration = self.workload.eat_duration(self.pid, self.streams)
-        self.set_timer(duration, self._exit, label=f"exit@{self.pid}")
-        if self.on_eat is not None:
-            self.on_eat(self)
-
-    def _exit(self) -> None:
-        if not self.is_eating:
-            return
-        self._set_state(DinerState.THINKING)
+    def _release(self) -> None:
         self.number = 0
         deferred, self._deferred = self._deferred, set()
         for neighbor in sorted(deferred):
             self.send(neighbor, BakeryOk(self.pid))
-        self._schedule_next_hunger()
-
-    # -- membership (crash-oblivious: observe, never adapt) --------------
-    def neighbor_left(self, neighbor: ProcessId) -> None:
-        """A neighbor departed.  The bakery does not adapt: we keep
-        waiting on its replies forever — the honest churn failure mode."""
-
-    def neighbor_rejoined(self, neighbor: ProcessId) -> None:
-        self.neighbors.add(neighbor)
-
-    def add_neighbor(self, neighbor: ProcessId) -> None:
-        self.neighbors.add(neighbor)
 
     def remove_neighbor(self, neighbor: ProcessId) -> None:
-        # A removed *edge* removes the conflict itself, so dropping the
-        # neighbor from every wait set is sound (unlike a leave).
-        self.neighbors.discard(neighbor)
+        super().remove_neighbor(neighbor)
         self._pending_numbers.discard(neighbor)
         self._pending_oks.discard(neighbor)
         self._deferred.discard(neighbor)
@@ -247,23 +158,10 @@ class BakeryDiner(Actor):
         elif self.is_hungry and not self.choosing and not self._pending_oks:
             self._eat()
 
-    # -- internals -------------------------------------------------------
-    def _set_state(self, new_state: DinerState) -> None:
-        old = self.state
-        if old is new_state:
-            return
-        self.state = new_state
-        self.trace.phase_change(self.now, self.pid, old.phase, new_state.phase)
-
 
 def bakery_table(graph: ConflictGraph, **table_kwargs) -> DiningTable:
     """A DiningTable scheduled by the message-passing bakery."""
-    for forbidden in ("diner_factory", "detector"):
-        if forbidden in table_kwargs:
-            raise TypeError(f"bakery_table fixes {forbidden!r}; do not pass it")
-    return DiningTable(
-        graph,
-        diner_factory=BakeryDiner,
-        detector=null_detector(),
-        **table_kwargs,
+    return fixed_table(
+        "bakery_table", graph, table_kwargs,
+        diner_factory=BakeryDiner, detector=null_detector(),
     )

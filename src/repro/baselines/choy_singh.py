@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from repro.core.diner import DinerActor
 from repro.core.messages import Ack
-from repro.core.table import DiningTable, null_detector
+from repro.core.table import DiningTable, fixed_table, null_detector
 from repro.graphs.conflict import ConflictGraph, ProcessId
 
 
@@ -53,12 +53,7 @@ def choy_singh_table(graph: ConflictGraph, **table_kwargs) -> DiningTable:
     :class:`~repro.core.table.DiningTable` except ``diner_factory`` and
     ``detector``, which are fixed to the baseline's definition.
     """
-    for forbidden in ("diner_factory", "detector"):
-        if forbidden in table_kwargs:
-            raise TypeError(f"choy_singh_table fixes {forbidden!r}; do not pass it")
-    return DiningTable(
-        graph,
-        diner_factory=ChoySinghDiner,
-        detector=null_detector(),
-        **table_kwargs,
+    return fixed_table(
+        "choy_singh_table", graph, table_kwargs,
+        diner_factory=ChoySinghDiner, detector=null_detector(),
     )

@@ -36,67 +36,25 @@ claims here assume the daemon workload (always hungry).
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
-from repro.core.diner import EatCallback
+from repro.baselines.classic import ClassicDiner
 from repro.core.messages import Fork
-from repro.core.state import DinerState
-from repro.core.table import DiningTable, null_detector
-from repro.core.workload import Workload
-from repro.detectors.base import FailureDetector
+from repro.core.table import DiningTable, fixed_table, null_detector
 from repro.errors import ConfigurationError
-from repro.graphs.coloring import Coloring
 from repro.graphs.conflict import ConflictGraph, ProcessId
-from repro.sim.actor import Actor
-from repro.trace.recorder import TraceRecorder
 
 
-class EdgeReversalDiner(Actor):
+class EdgeReversalDiner(ClassicDiner):
     """One node of the scheduling-by-edge-reversal graph."""
 
-    def __init__(
-        self,
-        pid: ProcessId,
-        graph: ConflictGraph,
-        coloring: Coloring,
-        detector: FailureDetector,  # unused: SER is crash-oblivious
-        workload: Workload,
-        trace: TraceRecorder,
-        *,
-        on_eat: Optional[EatCallback] = None,
-        neighbors: Optional[tuple] = None,
-    ) -> None:
-        super().__init__(pid)
-        if pid not in graph:
-            raise ConfigurationError(f"process {pid} is not in the conflict graph")
-        self.graph = graph
-        self.color = int(coloring[pid])
-        self.workload = workload
-        self.trace = trace
-        self.on_eat = on_eat
-        self.state = DinerState.THINKING
-        if neighbors is None:
-            initial = graph.neighbors(pid)
-        else:
-            initial = tuple(sorted(int(n) for n in neighbors))
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
         # Edge orientation as fork possession: toward the higher color.
+        color = int(self.coloring[self.pid])
         self.forks: Dict[ProcessId, bool] = {
-            nbr: self.color > int(coloring[nbr]) for nbr in initial
+            nbr: color > int(self.coloring[nbr]) for nbr in sorted(self.neighbors)
         }
-        self.meals_eaten = 0
-
-    # -- introspection (invariant checkers, experiments) ----------------
-    @property
-    def phase(self) -> str:
-        return self.state.phase
-
-    @property
-    def is_hungry(self) -> bool:
-        return self.state is DinerState.HUNGRY
-
-    @property
-    def is_eating(self) -> bool:
-        return self.state is DinerState.EATING
 
     @property
     def is_sink(self) -> bool:
@@ -105,49 +63,19 @@ class EdgeReversalDiner(Actor):
     def holds_fork(self, neighbor: ProcessId) -> bool:
         return self.forks[neighbor]
 
-    def holds_token(self, neighbor: ProcessId) -> bool:
-        return False  # SER has no request tokens
-
-    # -- lifecycle -------------------------------------------------------
-    def on_start(self) -> None:
-        self._schedule_next_hunger()
-
-    def on_crash(self) -> None:
-        self.trace.crash(self.now, self.pid)
-
-    def _schedule_next_hunger(self) -> None:
-        duration = self.workload.think_duration(self.pid, self.streams)
-        if duration is None:
-            return
-        self.set_timer(duration, self._become_hungry, label=f"hunger@{self.pid}")
-
-    def _become_hungry(self) -> None:
-        if self.state is not DinerState.THINKING:
-            return
-        self._set_state(DinerState.HUNGRY)
-
     # -- the SER rule ------------------------------------------------------
     def reevaluate(self) -> None:
         if self.crashed:
             return
         if self.is_hungry and self.is_sink:
-            self._set_state(DinerState.EATING)
-            self.meals_eaten += 1
-            duration = self.workload.eat_duration(self.pid, self.streams)
-            self.set_timer(duration, self._exit, label=f"exit@{self.pid}")
-            if self.on_eat is not None:
-                self.on_eat(self)
+            self._eat()
 
-    def _exit(self) -> None:
-        if not self.is_eating:
-            return
-        self._set_state(DinerState.THINKING)
+    def _release(self) -> None:
         for neighbor in sorted(self.forks):
             # Reverse every edge: relinquish all forks.
             if self.forks[neighbor]:
                 self.send(neighbor, Fork(self.pid))
                 self.forks[neighbor] = False
-        self._schedule_next_hunger()
 
     def on_message(self, src: ProcessId, message) -> None:
         if not isinstance(message, Fork) or src not in self.forks:
@@ -156,42 +84,26 @@ class EdgeReversalDiner(Actor):
             )
         self.forks[src] = True
 
-    # -- membership (crash-oblivious: observe, never adapt) --------------
-    def neighbor_left(self, neighbor: ProcessId) -> None:
-        """A neighbor departed.  SER does not adapt: if the dead node
-        held the shared fork the edge is pinned forever — the honest
-        churn failure mode."""
-
+    # -- membership: a dead node's fork pins its edge forever --------------
     def neighbor_rejoined(self, neighbor: ProcessId) -> None:
+        super().neighbor_rejoined(neighbor)
         self.forks.setdefault(neighbor, False)
 
     def add_neighbor(self, neighbor: ProcessId) -> None:
+        super().add_neighbor(neighbor)
         # Hygienic placement for a fresh edge: higher pid holds the fork
         # (colors may collide across epochs; pids never do).
         self.forks.setdefault(neighbor, self.pid > neighbor)
 
     def remove_neighbor(self, neighbor: ProcessId) -> None:
-        # A removed *edge* removes the conflict itself; forget the fork.
+        super().remove_neighbor(neighbor)
         self.forks.pop(neighbor, None)
         self.reevaluate()
-
-    # -- internals -------------------------------------------------------
-    def _set_state(self, new_state: DinerState) -> None:
-        old = self.state
-        if old is new_state:
-            return
-        self.state = new_state
-        self.trace.phase_change(self.now, self.pid, old.phase, new_state.phase)
 
 
 def edge_reversal_table(graph: ConflictGraph, **table_kwargs) -> DiningTable:
     """A DiningTable scheduling by edge reversal (no detector, no requests)."""
-    for forbidden in ("diner_factory", "detector"):
-        if forbidden in table_kwargs:
-            raise TypeError(f"edge_reversal_table fixes {forbidden!r}; do not pass it")
-    return DiningTable(
-        graph,
-        diner_factory=EdgeReversalDiner,
-        detector=null_detector(),
-        **table_kwargs,
+    return fixed_table(
+        "edge_reversal_table", graph, table_kwargs,
+        diner_factory=EdgeReversalDiner, detector=null_detector(),
     )

@@ -25,7 +25,7 @@ hungry with lower color, defer when eating or hungry with higher color.
 from __future__ import annotations
 
 from repro.core.diner import DinerActor
-from repro.core.table import DiningTable, null_detector
+from repro.core.table import DiningTable, fixed_table, null_detector
 from repro.graphs.conflict import ConflictGraph, ProcessId
 
 
@@ -59,11 +59,7 @@ def fork_priority_table(graph: ConflictGraph, *, detector=None, **table_kwargs) 
     factory yields the "wait-free but unfair" ablation: suspicion restores
     progress under crashes while the unbounded overtaking remains.
     """
-    if "diner_factory" in table_kwargs:
-        raise TypeError("fork_priority_table fixes diner_factory; do not pass it")
-    return DiningTable(
-        graph,
-        diner_factory=ForkPriorityDiner,
+    return fixed_table(
+        "fork_priority_table", graph, table_kwargs, diner_factory=ForkPriorityDiner,
         detector=detector if detector is not None else null_detector(),
-        **table_kwargs,
     )

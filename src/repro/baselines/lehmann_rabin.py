@@ -44,18 +44,12 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set, Tuple
 
+from repro.baselines.classic import ClassicDiner
 from repro.baselines.messages import LrBusy, LrRequest
-from repro.core.diner import EatCallback
 from repro.core.messages import Fork
-from repro.core.state import DinerState
-from repro.core.table import DiningTable, null_detector
-from repro.core.workload import Workload
-from repro.detectors.base import FailureDetector
+from repro.core.table import DiningTable, fixed_table, null_detector
 from repro.errors import ConfigurationError
-from repro.graphs.coloring import Coloring
 from repro.graphs.conflict import ConflictGraph, ProcessId
-from repro.sim.actor import Actor
-from repro.trace.recorder import TraceRecorder
 
 #: Default retry backoff window (virtual seconds): an aborted attempt
 #: redraws after a uniform delay from this range, so two symmetric
@@ -63,43 +57,20 @@ from repro.trace.recorder import TraceRecorder
 RETRY_BACKOFF = (0.01, 0.05)
 
 
-class LehmannRabinDiner(Actor):
+class LehmannRabinDiner(ClassicDiner):
     """One randomized Lehmann–Rabin philosopher."""
 
     def __init__(
-        self,
-        pid: ProcessId,
-        graph: ConflictGraph,
-        coloring: Coloring,
-        detector: FailureDetector,  # unused: LR is oracle-free
-        workload: Workload,
-        trace: TraceRecorder,
-        *,
-        on_eat: Optional[EatCallback] = None,
-        neighbors: Optional[tuple] = None,
-        retry_backoff: Tuple[float, float] = RETRY_BACKOFF,
+        self, *args, retry_backoff: Tuple[float, float] = RETRY_BACKOFF, **kwargs
     ) -> None:
-        super().__init__(pid)
-        if pid not in graph:
-            raise ConfigurationError(f"process {pid} is not in the conflict graph")
-        self.graph = graph
-        self.color = int(coloring[pid])
-        self.workload = workload
-        self.trace = trace
-        self.on_eat = on_eat
+        super().__init__(*args, **kwargs)
         self.retry_backoff = retry_backoff
-        self.state = DinerState.THINKING
-        if neighbors is None:
-            initial = graph.neighbors(pid)
-        else:
-            initial = tuple(sorted(int(n) for n in neighbors))
-        self.neighbors: Set[ProcessId] = set(initial)
         # Fork placement follows Section 3.1: at the higher-color end.
+        color = int(self.coloring[self.pid])
         self.forks: Dict[ProcessId, bool] = {
-            nbr: self.color > int(coloring[nbr]) for nbr in initial
+            nbr: color > int(self.coloring[nbr]) for nbr in sorted(self.neighbors)
         }
         self.committed: Set[ProcessId] = set()
-        self.meals_eaten = 0
         # Attempt state: the drawn order, the index of the next fork to
         # secure, and the single neighbor (if any) we await a reply from.
         self._order: List[ProcessId] = []
@@ -111,46 +82,12 @@ class LehmannRabinDiner(Actor):
     def _rng(self):
         return self.streams.stream(f"lehmann-rabin/{self.pid}")
 
-    # -- introspection (invariant checkers, experiments, tests) ---------
-    @property
-    def phase(self) -> str:
-        return self.state.phase
-
-    @property
-    def is_hungry(self) -> bool:
-        return self.state is DinerState.HUNGRY
-
-    @property
-    def is_eating(self) -> bool:
-        return self.state is DinerState.EATING
-
     def holds_fork(self, neighbor: ProcessId) -> bool:
         return self.forks.get(neighbor, False)
 
-    def holds_token(self, neighbor: ProcessId) -> bool:
-        return False  # LR has no request tokens
-
-    # -- lifecycle -------------------------------------------------------
-    def on_start(self) -> None:
-        self._schedule_next_hunger()
-
-    def on_crash(self) -> None:
-        self.trace.crash(self.now, self.pid)
-
-    def _schedule_next_hunger(self) -> None:
-        duration = self.workload.think_duration(self.pid, self.streams)
-        if duration is None:
-            return
-        self.set_timer(duration, self._become_hungry, label=f"hunger@{self.pid}")
-
-    def _become_hungry(self) -> None:
-        if self.state is not DinerState.THINKING:
-            return
-        self._set_state(DinerState.HUNGRY)
-        self._start_attempt()
-
     # -- one randomized attempt ------------------------------------------
-    def _start_attempt(self) -> None:
+    def _compete(self) -> None:
+        """Start an attempt: on hunger, and again after each backoff."""
         if not self.is_hungry:
             return
         order = sorted(self.neighbors)
@@ -192,7 +129,7 @@ class LehmannRabinDiner(Actor):
         self._grant_deferred()
         low, high = self.retry_backoff
         delay = low + self._rng.random() * (high - low)
-        self.set_timer(delay, self._start_attempt, label=f"lr-retry@{self.pid}")
+        self.set_timer(delay, self._compete, label=f"lr-retry@{self.pid}")
 
     def _grant_deferred(self) -> None:
         """Hand every deferred blocking request its now-free fork."""
@@ -234,43 +171,25 @@ class LehmannRabinDiner(Actor):
                 f"lehmann-rabin diner {self.pid} got unexpected {message!r} from {src}"
             )
 
-    def _eat(self) -> None:
-        self._set_state(DinerState.EATING)
-        self.meals_eaten += 1
-        duration = self.workload.eat_duration(self.pid, self.streams)
-        self.set_timer(duration, self._exit, label=f"exit@{self.pid}")
-        if self.on_eat is not None:
-            self.on_eat(self)
-
-    def _exit(self) -> None:
-        if not self.is_eating:
-            return
-        self._set_state(DinerState.THINKING)
+    def _release(self) -> None:
         self._order = []
         self._cursor = 0
         self.committed.clear()
         self._grant_deferred()
-        self._schedule_next_hunger()
 
-    # -- membership (crash-oblivious: observe, never adapt) --------------
-    def neighbor_left(self, neighbor: ProcessId) -> None:
-        """A neighbor departed.  LR does not adapt: a dead edge's fork
-        stays wherever it was, and attempts that need it stall — the
-        honest churn failure mode."""
-
+    # -- membership: a dead edge's fork stays where it was ---------------
     def neighbor_rejoined(self, neighbor: ProcessId) -> None:
-        self.neighbors.add(neighbor)
+        super().neighbor_rejoined(neighbor)
         self.forks.setdefault(neighbor, False)
 
     def add_neighbor(self, neighbor: ProcessId) -> None:
-        self.neighbors.add(neighbor)
+        super().add_neighbor(neighbor)
         # Hygienic placement for a fresh edge: higher pid holds the fork
         # (colors may collide across epochs; pids never do).
         self.forks.setdefault(neighbor, self.pid > neighbor)
 
     def remove_neighbor(self, neighbor: ProcessId) -> None:
-        # A removed *edge* removes the conflict itself; forget the fork.
-        self.neighbors.discard(neighbor)
+        super().remove_neighbor(neighbor)
         self.forks.pop(neighbor, None)
         self.committed.discard(neighbor)
         self._deferred.discard(neighbor)
@@ -278,23 +197,10 @@ class LehmannRabinDiner(Actor):
             # The drawn order is stale; abort and redraw over live edges.
             self._abort_attempt()
 
-    # -- internals -------------------------------------------------------
-    def _set_state(self, new_state: DinerState) -> None:
-        old = self.state
-        if old is new_state:
-            return
-        self.state = new_state
-        self.trace.phase_change(self.now, self.pid, old.phase, new_state.phase)
-
 
 def lehmann_rabin_table(graph: ConflictGraph, **table_kwargs) -> DiningTable:
     """A DiningTable scheduled by randomized Lehmann–Rabin dining."""
-    for forbidden in ("diner_factory", "detector"):
-        if forbidden in table_kwargs:
-            raise TypeError(f"lehmann_rabin_table fixes {forbidden!r}; do not pass it")
-    return DiningTable(
-        graph,
-        diner_factory=LehmannRabinDiner,
-        detector=null_detector(),
-        **table_kwargs,
+    return fixed_table(
+        "lehmann_rabin_table", graph, table_kwargs,
+        diner_factory=LehmannRabinDiner, detector=null_detector(),
     )

@@ -11,7 +11,7 @@ only the pre-convergence mistake window disappears.
 
 from __future__ import annotations
 
-from repro.core.table import DiningTable, perfect_detector
+from repro.core.table import DiningTable, fixed_table, perfect_detector
 from repro.graphs.conflict import ConflictGraph
 from repro.timebase import Duration
 
@@ -20,10 +20,7 @@ def perfect_dining_table(
     graph: ConflictGraph, *, detection_delay: Duration = 1.0, **table_kwargs
 ) -> DiningTable:
     """A DiningTable running Algorithm 1 over the perfect detector P."""
-    if "detector" in table_kwargs:
-        raise TypeError("perfect_dining_table fixes detector; do not pass it")
-    return DiningTable(
-        graph,
+    return fixed_table(
+        "perfect_dining_table", graph, table_kwargs,
         detector=perfect_detector(detection_delay=detection_delay),
-        **table_kwargs,
     )

@@ -516,3 +516,16 @@ class DiningTable:
             len(self.violations()),
             len(self.trace),
         )
+
+
+def fixed_table(name: str, graph: ConflictGraph, table_kwargs: dict, **fixed) -> DiningTable:
+    """A DiningTable whose ``fixed`` keyword arguments helper ``name`` pins.
+
+    The baseline helpers (``bakery_table`` and kin) accept the usual
+    :class:`DiningTable` keywords except the ones that define them; one
+    of those in ``table_kwargs`` is a ``TypeError``.
+    """
+    for forbidden in fixed:
+        if forbidden in table_kwargs:
+            raise TypeError(f"{name} fixes {forbidden!r}; do not pass it")
+    return DiningTable(graph, **fixed, **table_kwargs)

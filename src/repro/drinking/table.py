@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.core.table import DiningTable
+from repro.core.table import DiningTable, fixed_table
 from repro.drinking.diner import DrinkingDiner
 from repro.drinking.workload import RandomThirst, ThirstWorkload
 from repro.graphs.conflict import ConflictGraph
@@ -23,11 +23,7 @@ def drinking_table(
     :class:`~repro.drinking.workload.ThirstWorkload`; default
     :class:`~repro.drinking.workload.RandomThirst`).
     """
-    if "diner_factory" in table_kwargs:
-        raise TypeError("drinking_table fixes diner_factory; do not pass it")
-    return DiningTable(
-        graph,
-        diner_factory=DrinkingDiner,
+    return fixed_table(
+        "drinking_table", graph, table_kwargs, diner_factory=DrinkingDiner,
         workload=workload if workload is not None else RandomThirst(),
-        **table_kwargs,
     )

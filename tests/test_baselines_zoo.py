@@ -11,9 +11,11 @@ from hypothesis import given, settings, strategies as st
 
 from repro.baselines import (
     BakeryDiner,
+    EdgeReversalDiner,
     LehmannRabinDiner,
     RicartAgrawalaDiner,
     bakery_table,
+    edge_reversal_table,
     lehmann_rabin_table,
     ricart_agrawala_table,
 )
@@ -37,6 +39,7 @@ from repro.sim.crash import CrashPlan
         (bakery_table, BakeryDiner),
         (ricart_agrawala_table, RicartAgrawalaDiner),
         (lehmann_rabin_table, LehmannRabinDiner),
+        (edge_reversal_table, EdgeReversalDiner),
     ],
 )
 def test_factory_wires_null_detector_and_diner(ring6, factory, diner_type):
@@ -46,7 +49,7 @@ def test_factory_wires_null_detector_and_diner(ring6, factory, diner_type):
 
 
 @pytest.mark.parametrize(
-    "factory", [bakery_table, ricart_agrawala_table, lehmann_rabin_table]
+    "factory", [bakery_table, ricart_agrawala_table, lehmann_rabin_table, edge_reversal_table]
 )
 def test_factory_rejects_detector_override(ring6, factory):
     with pytest.raises(TypeError):

@@ -2,6 +2,15 @@
 
 import pytest
 
+from repro.baselines import (
+    bakery_table,
+    choy_singh_table,
+    edge_reversal_table,
+    fork_priority_table,
+    lehmann_rabin_table,
+    perfect_dining_table,
+    ricart_agrawala_table,
+)
 from repro.core import (
     AlwaysHungry,
     DiningTable,
@@ -10,6 +19,7 @@ from repro.core import (
     scripted_detector,
 )
 from repro.detectors import NullDetector, PerfectDetector, ScriptedDetector
+from repro.drinking import drinking_table
 from repro.errors import ColoringError, ConfigurationError
 from repro.sim.crash import CrashPlan
 
@@ -133,3 +143,23 @@ class TestAnalysisConveniences:
         table = DiningTable(ring6, seed=3).run(until=100.0)
         assert len(table.response_times([0])) > 0
         assert len(table.response_times()) >= len(table.response_times([0]))
+
+
+@pytest.mark.parametrize(
+    "helper,fixed",
+    [
+        (bakery_table, ("diner_factory", "detector")),
+        (ricart_agrawala_table, ("diner_factory", "detector")),
+        (lehmann_rabin_table, ("diner_factory", "detector")),
+        (edge_reversal_table, ("diner_factory", "detector")),
+        (choy_singh_table, ("diner_factory", "detector")),
+        (fork_priority_table, ("diner_factory",)),
+        (perfect_dining_table, ("detector",)),
+        (drinking_table, ("diner_factory",)),
+    ],
+    ids=lambda value: value.__name__ if callable(value) else "-".join(value),
+)
+def test_table_helpers_reject_the_keywords_they_fix(ring6, helper, fixed):
+    for name in fixed:
+        with pytest.raises(TypeError, match=f"{helper.__name__} fixes '{name}'"):
+            helper(ring6, **{name: None})

@@ -138,6 +138,7 @@ def test_verdict_json_is_byte_stable_across_interpreters():
             env=env,
             capture_output=True,
             check=True,
+            timeout=120,
         ).stdout
         for _ in range(3)
     ]

@@ -4,16 +4,21 @@ Same plan, same diner, same (null) detector on the discrete-event kernel
 and on a loopback AsyncHost, judged informationally (``judge=False``) so
 every per-property status depends only on what the observed stream
 proves.  The full status maps must be identical — the bake-off's claim
-that bakery / Ricart–Agrawala / Lehmann–Rabin run *unmodified* on both
-substrates, checked the same way ``test_fuzz_differential`` checks
-Algorithm 1.
+that bakery / Ricart–Agrawala / Lehmann–Rabin / edge reversal run
+*unmodified* on both substrates, checked the same way
+``test_fuzz_differential`` checks Algorithm 1.
 
 Marked ``fuzz`` + ``live``: wall-clock asyncio runs.
 """
 
 import pytest
 
-from repro.baselines import BakeryDiner, LehmannRabinDiner, RicartAgrawalaDiner
+from repro.baselines import (
+    BakeryDiner,
+    EdgeReversalDiner,
+    LehmannRabinDiner,
+    RicartAgrawalaDiner,
+)
 from repro.core.table import null_detector
 from repro.detectors import NullDetector
 from repro.faults import FaultPlan, run_plan_kernel, run_plan_live
@@ -27,6 +32,7 @@ CLASSICS = [
     pytest.param(BakeryDiner, id="bakery"),
     pytest.param(RicartAgrawalaDiner, id="ricart_agrawala"),
     pytest.param(LehmannRabinDiner, id="lehmann_rabin"),
+    pytest.param(EdgeReversalDiner, id="edge_reversal"),
 ]
 
 
@@ -82,5 +88,6 @@ def test_live_run_speaks_the_same_wire_vocabulary(diner_factory):
         BakeryDiner: "BakeryRequest",
         RicartAgrawalaDiner: "RaRequest",
         LehmannRabinDiner: "LrRequest",
+        EdgeReversalDiner: "Fork",
     }[diner_factory]
     assert expected in kinds, sorted(kinds)
