@@ -17,6 +17,7 @@ patience / grace windows only known once the run's horizon is.
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass
@@ -56,6 +57,15 @@ PENDING_PING = "pending-ping"
 
 def _edge(a: ProcessId, b: ProcessId) -> Edge:
     return (a, b) if a <= b else (b, a)
+
+
+def neighbor_map(edges: Sequence[Edge]) -> Dict[ProcessId, List[ProcessId]]:
+    """``pid -> neighbors``; ◇WX and overtaking take edges or this map."""
+    neighbors: Dict[ProcessId, List[ProcessId]] = {}
+    for a, b in edges:
+        neighbors.setdefault(a, []).append(b)
+        neighbors.setdefault(b, []).append(a)
+    return neighbors
 
 
 # ----------------------------------------------------------------------
@@ -335,70 +345,124 @@ class DinerLocalChecker(Checker):
 # Channel properties (Section 7 and the channel assumption itself)
 # ----------------------------------------------------------------------
 class ChannelOccupancy:
-    """Per-undirected-edge in-transit occupancy — the one implementation.
+    """Messages in transit per directed channel, and each edge's peak.
 
-    Both the online :class:`~repro.sim.monitors.ChannelOccupancyMonitor`
-    and :class:`ChannelBoundChecker` delegate here, so "how occupancy is
-    counted" exists exactly once.  A departure on an edge whose count is
-    already zero is ignored: that only happens on partially observed
-    streams (a single live host seeing inbound traffic whose sends were
-    logged by a peer), where the message demonstrably never contributed
-    to this observer's occupancy.
+    The one count (the channel-bound checker's, ``net.in_transit``'s, an
+    unchecked table's monitor).  Arrays are indexed by channel id, paired
+    as :class:`~repro.sim.network.Network` opens them (``a -> b`` is ``2k``
+    for ``a < b``, ``b -> a`` is ``2k + 1``); an edge's peak sits at ``2k``.
+    Section 7 bounds what an edge can still deliver, so a fence (a rejoin,
+    an edge re-add) makes what is in flight on the edge depart; by FIFO
+    those are the channel's next departures, and they do not depart again.
+    A departure from a zero count only happens on a partially observed
+    stream (a live host's inbound remote traffic) and is ignored.
     """
 
     def __init__(self, layer: Optional[str] = None) -> None:
         self._layer = layer
-        self.current: Dict[Edge, int] = defaultdict(int)
-        self.peak: Dict[Edge, int] = defaultdict(int)
-        self.peak_time: Dict[Edge, float] = {}
+        self.ids: Dict[ProcessId, Dict[ProcessId, int]] = {}  # pid -> {peer: id}
+        self.in_flight, self.peaks, self.peak_times = array("i"), array("i"), array("d")
+        self._fenced: Dict[int, int] = {}  # channel id -> fenced, not yet departed
 
-    def _counts(self, layer: str) -> bool:
-        return self._layer is None or layer == self._layer
+    def bind(self, ids: Dict[ProcessId, Dict[ProcessId, int]], channel_table) -> None:
+        """Count on a network's ``pid -> {peer: id}`` map and channel tables."""
+        self.ids = ids
+        self.in_flight, self.peaks = channel_table("i"), channel_table("i")
+        self.peak_times = channel_table("d")
+
+    def _channel(self, src: ProcessId, dst: ProcessId) -> Optional[int]:
+        peers = self.ids.get(src)
+        return peers.get(dst) if peers is not None else None
+
+    def _open(self, src: ProcessId, dst: ProcessId) -> int:
+        low, high = (src, dst) if src < dst else (dst, src)
+        channel = len(self.in_flight)
+        self.ids.setdefault(low, {})[high] = channel
+        self.ids.setdefault(high, {})[low] = channel + 1
+        for table in (self.in_flight, self.peaks, self.peak_times):
+            table.extend((0, 0))
+        return channel if src == low else channel + 1
 
     def record_send(self, src: ProcessId, dst: ProcessId, layer: str, time: float) -> Optional[int]:
-        """Count one send; returns the new occupancy (None if filtered)."""
-        # Hot path (once per checked-layer send): conditions and the
-        # edge normalization stay inline, each dict is touched once.
+        """Count one send; returns the edge's new occupancy (None if filtered)."""
         checked = self._layer
         if checked is not None and layer != checked:
             return None
-        edge = (src, dst) if src <= dst else (dst, src)
-        current = self.current
-        level = current[edge] + 1
-        current[edge] = level
-        peak = self.peak
-        if level > peak[edge]:
-            peak[edge] = level
-            self.peak_time[edge] = time
+        peers = self.ids.get(src)
+        channel = peers.get(dst) if peers is not None else None
+        if channel is None:
+            channel = self._open(src, dst)
+        in_flight = self.in_flight
+        count = in_flight[channel] + 1
+        in_flight[channel] = count
+        level = count + in_flight[channel ^ 1]
+        edge = channel & -2
+        if level > self.peaks[edge]:
+            self.peaks[edge] = level
+            self.peak_times[edge] = time
         return level
 
     def record_departure(self, src: ProcessId, dst: ProcessId, layer: str) -> None:
         checked = self._layer
         if checked is not None and layer != checked:
             return
-        edge = (src, dst) if src <= dst else (dst, src)
-        current = self.current
-        level = current[edge]
-        if level > 0:
-            current[edge] = level - 1
+        peers = self.ids.get(src)
+        channel = peers.get(dst) if peers is not None else None
+        if channel is not None:
+            self.depart(channel)
 
-    @property
-    def max_occupancy(self) -> int:
-        return max(self.peak.values(), default=0)
+    def depart(self, channel: int) -> None:
+        """One message left ``channel``; a fenced one departed at its fence."""
+        left = self._fenced.pop(channel, 0) if self._fenced else 0
+        if left > 1:
+            self._fenced[channel] = left - 1
+        elif not left and self.in_flight[channel] > 0:
+            self.in_flight[channel] -= 1
+
+    def fence(self, a: ProcessId, b: ProcessId) -> None:
+        """Edge ``(a, b)`` starts a new incarnation: what is in flight departs."""
+        channel = self._channel(a, b)
+        for one in () if channel is None else (channel, channel ^ 1):
+            if self.in_flight[one]:
+                self._fenced[one] = self._fenced.get(one, 0) + self.in_flight[one]
+                self.in_flight[one] = 0
+
+    def fence_pid(self, pid: ProcessId) -> None:
+        """``pid`` rejoined: every edge touching it starts a new incarnation."""
+        for peer in self.ids.get(pid, ()):
+            self.fence(pid, peer)
+
+    def edges(self) -> List[Tuple[Edge, int, int, float]]:
+        """``(edge, in flight, peak, peak time)`` per edge that carried a
+        counted message, in edge order: what every reader reads."""
+        flight, peaks, times = self.in_flight, self.peaks, self.peak_times
+        return sorted(
+            ((low, high), flight[c] + flight[c + 1], peaks[c], times[c])
+            for low, peers in self.ids.items()
+            for high, c in peers.items()
+            if low < high and peaks[c]
+        )
+
+    # Edge-keyed views over edges().
+    current = property(lambda self: {row[0]: row[1] for row in self.edges()})
+    peak = property(lambda self: {row[0]: row[2] for row in self.edges()})
+    peak_time = property(lambda self: {row[0]: row[3] for row in self.edges()})
+    max_occupancy = property(lambda self: max((row[2] for row in self.edges()), default=0))
 
     def edges_exceeding(self, bound: int) -> List[Edge]:
-        return sorted(edge for edge, peak in self.peak.items() if peak > bound)
+        return [edge for edge, _, peak, _ in self.edges() if peak > bound]
 
 
 class ChannelBoundChecker(Checker):
     """Section 7: at most ``bound`` (= 4) dining messages per edge.
 
     Given ``epoch_at`` (a churning run's topology timeline), every
-    witness names the epoch it was observed in.
+    witness names the epoch it was observed in.  Replay reads fences off
+    ``rejoin``/``add_edge`` records; a kernel or live seat fences itself.
     """
 
     name = CHANNEL_BOUND
-    interests = (SendEvent, DeliverEvent, DropEvent)
+    interests = (SendEvent, DeliverEvent, DropEvent, MembershipChange)
 
     def __init__(
         self,
@@ -415,30 +479,22 @@ class ChannelBoundChecker(Checker):
         self._violations: List[Violation] = []
 
     def observe(self, event, index: int) -> Optional[List[Violation]]:
-        if type(event) is SendEvent:
-            violation = self.record_send(
-                event.src, event.dst, event.layer, event.time, event.type, index=index
-            )
-            return [violation] if violation is not None else None
-        self.record_departure(event.src, event.dst, event.layer)
-        return None
-
-    def record_send(
-        self,
-        src: ProcessId,
-        dst: ProcessId,
-        layer: str,
-        time: float,
-        message_type: str,
-        *,
-        index: Optional[int] = None,
-    ) -> Optional[Violation]:
-        """Allocation-free entry point for change-tracking adapters."""
+        kind, occupancy = type(event), self.occupancy
+        if kind is MembershipChange:
+            if event.verb == "rejoin":
+                occupancy.fence_pid(event.pid)
+            elif event.verb == "add_edge":
+                for peer in event.edges:
+                    occupancy.fence(event.pid, peer)
+            return None
         self.observed += 1
-        level = self.occupancy.record_send(src, dst, layer, time)
-        if level is not None and level > self.bound:
-            return self.record_level(src, dst, level, time, message_type, index=index)
-        return None
+        if kind is not SendEvent:
+            occupancy.record_departure(event.src, event.dst, event.layer)
+            return None
+        level = occupancy.record_send(event.src, event.dst, event.layer, event.time)
+        if level is None or level <= self.bound:
+            return None
+        return [self.record_level(event.src, event.dst, level, event.time, event.type, index=index)]
 
     def record_level(
         self,
@@ -450,10 +506,8 @@ class ChannelBoundChecker(Checker):
         *,
         index: Optional[int] = None,
     ) -> Violation:
-        """Judge an occupancy level already counted through a shared
-        :class:`ChannelOccupancy` (adapters that feed the one occupancy
-        instance directly call this only when ``level`` exceeds the
-        bound)."""
+        """Judge an occupancy level above the bound, counted through
+        :attr:`occupancy` (the kernel adapter feeds it inline)."""
         detail = (
             f"t={time}: {level} {self.layer or 'total'} messages in "
             f"transit on edge {_edge(src, dst)}, bound is "
@@ -471,19 +525,14 @@ class ChannelBoundChecker(Checker):
         self._violations.append(violation)
         return violation
 
-    def record_departure(self, src: ProcessId, dst: ProcessId, layer: str) -> None:
-        self.observed += 1
-        self.occupancy.record_departure(src, dst, layer)
-
     def finalize(self) -> PropertyVerdict:
+        rows = self.occupancy.edges()
         verdict = self._verdict(
             self._violations[:MAX_WITNESSES],
-            max_in_transit=self.occupancy.max_occupancy,
+            max_in_transit=max((peak for _, _, peak, _ in rows), default=0),
             exceedances_total=len(self._violations),
         )
-        verdict.details["edge_peaks"] = {
-            f"{a}-{b}": peak for (a, b), peak in sorted(self.occupancy.peak.items())
-        }
+        verdict.details["edge_peaks"] = {f"{a}-{b}": peak for (a, b), _, peak, _ in rows}
         return verdict
 
 
@@ -714,10 +763,7 @@ class WxSafetyChecker(Checker):
         self.settle = settle
         self._epoch_at = epoch_at
         self._intervals = intervals
-        self._neighbors: Dict[ProcessId, List[ProcessId]] = defaultdict(list)
-        for a, b in edges:
-            self._neighbors[a].append(b)
-            self._neighbors[b].append(a)
+        self._neighbors = edges if isinstance(edges, dict) else neighbor_map(edges)
         self._eating: Dict[ProcessId, float] = {}
         # edge -> start of the currently open overlap window
         self._open: Dict[Edge, Tuple[float, int]] = {}
@@ -912,10 +958,7 @@ class OvertakingChecker(Checker):
         super().__init__()
         self.bound = int(bound)
         self.after = after
-        self._neighbors: Dict[ProcessId, List[ProcessId]] = defaultdict(list)
-        for a, b in edges:
-            self._neighbors[a].append(b)
-            self._neighbors[b].append(a)
+        self._neighbors = edges if isinstance(edges, dict) else neighbor_map(edges)
         self._eat_starts: Dict[ProcessId, List[float]] = defaultdict(list)
         self._sessions: Dict[ProcessId, List[Tuple[float, float, int]]] = defaultdict(list)
         self._hungry_since: Dict[ProcessId, Tuple[float, int]] = {}

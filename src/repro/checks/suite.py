@@ -20,6 +20,7 @@ from repro.checks.properties import (
     ProgressChecker,
     QuiescenceChecker,
     WxSafetyChecker,
+    neighbor_map,
 )
 from repro.checks.verdict import Verdict, Violation
 
@@ -230,21 +231,22 @@ def eventual_checkers(
 
     ``edges`` is the union edge set, each ``(a, b)`` with ``a < b``; a
     caller judging a recorded trace afresh (the dining table's queries)
-    gets the same judges as the run's own suite.
+    gets the same judges as the run's own suite.  ◇WX and overtaking
+    read one neighbor map when they judge the same edges (a static run).
     """
     intervals = epoch_at = None
-    final_edges = edges
+    neighbors = final_neighbors = neighbor_map(edges)
     if membership is not None:
         intervals = membership.edge_intervals()
         epoch_at = membership.epoch_at
-        final_edges = tuple(sorted(membership.final().graph.edges))
+        final_neighbors = neighbor_map(sorted(membership.final().graph.edges))
     return [
         WxSafetyChecker(
-            edges, settle=config.settle, intervals=intervals, epoch_at=epoch_at
+            neighbors, settle=config.settle, intervals=intervals, epoch_at=epoch_at
         ),
         ProgressChecker(patience=config.patience, correct=config.correct),
         OvertakingChecker(
-            final_edges, bound=config.overtaking_bound, after=config.overtaking_after
+            final_neighbors, bound=config.overtaking_bound, after=config.overtaking_after
         ),
     ]
 
@@ -278,7 +280,9 @@ def standard_suite(
     the one-epoch case, every edge existing throughout.
     """
     config = config or CheckConfig()
-    edges = tuple(sorted(tuple(sorted(edge)) for edge in edges))
+    edges = tuple(
+        sorted(e if type(e) is tuple and e[0] < e[1] else tuple(sorted(e)) for e in edges)
+    )
     epoch_at = membership.epoch_at if membership is not None else None
     checkers: List[Checker] = []
     if state_probes:

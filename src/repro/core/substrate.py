@@ -123,9 +123,9 @@ class Actor:
     def bind(self, sim, network) -> None:
         """Legacy wiring: wrap a (kernel, network) pair into a substrate.
 
-        Kept so the simulator's :meth:`repro.sim.network.Network.register`
-        and the explorer's hand-built worlds keep working verbatim; new
-        hosts call :meth:`bind_substrate` with a ready substrate.
+        Kept so the explorer's hand-built worlds keep working verbatim;
+        :meth:`repro.sim.network.Network.register` and the other hosts
+        call :meth:`bind_substrate` with a ready substrate.
         """
         from repro.sim.actor import KernelSubstrate  # deferred: sim is optional here
 

@@ -376,6 +376,8 @@ class DiningTable:
         diner = self.wiring.build_diner(self, pid, neighbors, on_eat=self._on_eat)
         self.diners[pid] = diner
         self.network.register(diner, replace=replace)
+        if replace:  # the checked table's occupancy is the checker's
+            self.occupancy.fence_pid(pid)
         if self._check_adapter is not None:
             self._check_adapter.install_diner(diner)
             if replace:
@@ -390,6 +392,7 @@ class DiningTable:
 
     def fence_edge(self, a: ProcessId, b: ProcessId) -> None:
         self.network.fence_channels(a, b)
+        self.occupancy.fence(a, b)
         if self._check_adapter is not None:
             self._check_adapter.note_fence(a, b)
 

@@ -79,8 +79,9 @@ def run_channels(
             channel_bound=4,  # the checker raises on a 5th in-transit message
         )
         table.run(until=horizon)
-        peak = table.occupancy.max_occupancy
-        at_max = sum(1 for value in table.occupancy.peak.values() if value == peak)
+        peaks = [peak for _, _, peak, _ in table.occupancy.edges()]
+        peak = max(peaks, default=0)
+        at_max = peaks.count(peak)
         rows.append(
             {
                 "topology": topology_name,

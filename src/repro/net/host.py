@@ -825,11 +825,14 @@ class AsyncHost:
         self._fence(((a, b), (b, a)))
 
     def _fence(self, channels) -> None:
-        """Fence directed channels at their current seq (see ``_receive``)."""
+        """Fence directed channels at their current seq (see ``_receive``)
+        and in the channel-bound count."""
+        occupancy = self.checks.checker(CHANNEL_BOUND).occupancy
         for key in channels:
             seq = self._next_seq.get(key)
             if seq:
                 self._fences[key] = seq
+                occupancy.fence(*key)
 
     async def _shutdown(self) -> None:
         if self.lock_service is not None:

@@ -88,23 +88,19 @@ SENT, DELIVERED, DROPPED = 0, 1, 2
 def render_in_transit(registry: MetricsRegistry, occupancy, run: str) -> None:
     """Render one occupancy as ``net.in_transit{edge, layer, run}`` gauges.
 
-    ``occupancy`` is a :class:`~repro.checks.ChannelOccupancy` (or
-    anything with its ``current``/``peak``/``peak_time`` dicts) counting
+    ``occupancy`` is a :class:`~repro.checks.ChannelOccupancy` counting
     the dining layer — the only layer the paper bounds.  ``set(peak,
     peak_time)`` pins each gauge's max and its witness time; the trailing
-    untimed ``set(current)`` leaves its value at the in-flight count.
+    untimed ``set(in_flight)`` leaves its value at the in-flight count.
     Repeating the writes on a later flush is harmless, and the ``run``
     label keeps tables that share a registry from blending readings.
     """
-    current, peak_time = occupancy.current, occupancy.peak_time
-    for edge, peak in occupancy.peak.items():
-        if not peak:
-            continue  # read but never carried a message
+    for edge, in_flight, peak, peak_time in occupancy.edges():
         gauge = registry.gauge(
             "net.in_transit", edge=f"{edge[0]}-{edge[1]}", layer="dining", run=run
         )
-        gauge.set(peak, peak_time[edge])
-        gauge.set(current.get(edge, 0))
+        gauge.set(peak, peak_time)
+        gauge.set(in_flight)
 
 
 class NetworkInstrument(NetworkMonitor):

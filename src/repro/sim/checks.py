@@ -218,14 +218,16 @@ class KernelCheckAdapter(NetworkMonitor):
         report_all = self._report_all
 
         channel = self._channel
-        # Occupancy is maintained inline against the checker's own dicts
-        # (``table.occupancy`` is the very same object); the bound guard
-        # delegates violation construction to ``record_level``.
+        # Occupancy is maintained inline against the checker's own arrays,
+        # on the network's channel ids (``table.occupancy`` is the same
+        # object); violation construction is delegated to ``record_level``.
         occ = channel.occupancy if channel is not None else None
-        occ_current = occ.current if occ is not None else None
-        occ_peak = occ.peak if occ is not None else None
-        occ_peak_time = occ.peak_time if occ is not None else None
-        occ_depart = occ.record_departure if occ is not None else None
+        if occ is not None:
+            occ.bind(network._ids, network.channel_table)
+        occ_flight = occ.in_flight if occ is not None else None
+        occ_peaks = occ.peaks if occ is not None else None
+        occ_peak_times = occ.peak_times if occ is not None else None
+        occ_depart = occ.depart if occ is not None else None
         cb_bound = channel.bound if channel is not None else 0
         cb_level = channel.record_level if channel is not None else None
         fifo = self._fifo
@@ -295,14 +297,16 @@ class KernelCheckAdapter(NetworkMonitor):
                 # Occupancy tracks the checked channel layer; other
                 # layers are invisible to the bound checker.  (Sequence
                 # numbers are the network's job now — nothing to do at
-                # send.)
-                if occ_current is not None:
-                    edge = (src, dst) if src <= dst else (dst, src)
-                    level = occ_current[edge] + 1
-                    occ_current[edge] = level
-                    if level > occ_peak[edge]:
-                        occ_peak[edge] = level
-                        occ_peak_time[edge] = time
+                # send.)  An edge's level sums both directions.
+                if occ_flight is not None:
+                    channel = network.last_send_channel
+                    count = occ_flight[channel] + 1
+                    occ_flight[channel] = count
+                    level = count + occ_flight[channel ^ 1]
+                    edge = channel & -2
+                    if level > occ_peaks[edge]:
+                        occ_peaks[edge] = level
+                        occ_peak_times[edge] = time
                     if level > cb_bound:
                         report(cb_level(src, dst, level, time, name))
             if kind == 1:  # _KIND_PING
@@ -367,7 +371,7 @@ class KernelCheckAdapter(NetworkMonitor):
             info = type_info.get(type(message))
             if info is None:
                 info = intern(message)
-            _, layer, kind, counted = info
+            _, _, kind, counted = info
             counters[0] += 1
             if judge_fifo:
                 seq = network.delivering_seq
@@ -378,11 +382,12 @@ class KernelCheckAdapter(NetworkMonitor):
                     counters[2] += 1
                 else:
                     consume(src, dst, time)
-            if counted and occ_current is not None:
-                edge = (src, dst) if src <= dst else (dst, src)
-                level = occ_current[edge]
-                if level > 0:
-                    occ_current[edge] = level - 1
+            if counted and occ_flight is not None:
+                # (A fenced message is dropped, never delivered.)
+                channel = network.delivering_channel
+                count = occ_flight[channel]
+                if count > 0:
+                    occ_flight[channel] = count - 1
             # Link/edge dirt is the destination diner's to report: its
             # handler pushes exactly the state it mutated through the
             # sinks install_diner armed, so nothing here branches on
@@ -394,12 +399,12 @@ class KernelCheckAdapter(NetworkMonitor):
             info = type_info.get(type(message))
             if info is None:
                 info = intern(message)
-            _, layer, kind, counted = info
+            _, _, kind, counted = info
             counters[0] += 1
             if judge_fifo:
                 consume(src, dst, time)
             if counted and occ_depart is not None:
-                occ_depart(src, dst, layer)
+                occ_depart(network.delivering_channel)
             # A dropped ack still retires the pending ping (the
             # destination is crashed; its frozen state is not probed).
             if kind == 2 and pings is not None:
@@ -578,7 +583,8 @@ class KernelCheckAdapter(NetworkMonitor):
         :meth:`~repro.checks.properties.PendingPingChecker.retire_stale`
         retires them in the checker.  (The checkers' per-incarnation
         state is reset by the shared delta interpreter,
-        :func:`repro.core.assembly.apply_delta`.)"""
+        :func:`repro.core.assembly.apply_delta`, and the seat fences the
+        channel-bound count.)"""
         self._crashing.discard(pid)
         for channel in self._network.channel_ids(pid).values():
             self._retire_pings(channel)

@@ -12,10 +12,10 @@ every send, delivery, and drop without touching algorithm code:
   after that process's crash instant, to verify correct processes
   eventually stop messaging crashed neighbors.
 
-The occupancy and quiescence monitors are thin adapters over the
-canonical implementations in :mod:`repro.checks.properties`
-(:class:`~repro.checks.properties.ChannelOccupancy`,
-:class:`~repro.checks.properties.QuiescenceChecker`) — how those
+The occupancy monitor is the canonical
+:class:`~repro.checks.properties.ChannelOccupancy` fed as a network
+monitor, and the quiescence monitor a thin adapter over
+:class:`~repro.checks.properties.QuiescenceChecker` — how those
 quantities are counted exists exactly once, in the checks subsystem.
 A table with a check suite attached registers neither: its
 ``occupancy`` and ``quiescence`` are the suite's own objects, which
@@ -30,7 +30,7 @@ bound.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 from repro.checks.properties import ChannelOccupancy, PostCrashSend, QuiescenceChecker
 from repro.sim.actor import ProcessId
@@ -52,8 +52,8 @@ def message_layer(message) -> str:
     return getattr(message, "layer", "app")
 
 
-class ChannelOccupancyMonitor(NetworkMonitor):
-    """Per-undirected-edge in-transit occupancy tracker.
+class ChannelOccupancyMonitor(ChannelOccupancy, NetworkMonitor):
+    """The one occupancy count, fed as a network monitor.
 
     Parameters
     ----------
@@ -62,30 +62,13 @@ class ChannelOccupancyMonitor(NetworkMonitor):
         invisible to this monitor.
     """
 
-    def __init__(self, layer: Optional[str] = None) -> None:
-        self._occupancy = ChannelOccupancy(layer=layer)
-        # Shared dict objects, so reads stay plain attribute+key lookups.
-        self.current: Dict[Tuple[ProcessId, ProcessId], int] = self._occupancy.current
-        self.peak: Dict[Tuple[ProcessId, ProcessId], int] = self._occupancy.peak
-        self.peak_time: Dict[Tuple[ProcessId, ProcessId], Instant] = self._occupancy.peak_time
-
     def on_send(self, src: ProcessId, dst: ProcessId, message, time: Instant) -> None:
-        self._occupancy.record_send(src, dst, message_layer(message), time)
+        self.record_send(src, dst, message_layer(message), time)
 
     def on_deliver(self, src: ProcessId, dst: ProcessId, message, time: Instant) -> None:
-        self._occupancy.record_departure(src, dst, message_layer(message))
+        self.record_departure(src, dst, message_layer(message))
 
-    def on_drop(self, src: ProcessId, dst: ProcessId, message, time: Instant) -> None:
-        self._occupancy.record_departure(src, dst, message_layer(message))
-
-    @property
-    def max_occupancy(self) -> int:
-        """Largest number of in-transit messages ever seen on any edge."""
-        return self._occupancy.max_occupancy
-
-    def edges_exceeding(self, bound: int) -> List[Tuple[ProcessId, ProcessId]]:
-        """Edges whose peak occupancy exceeded ``bound``."""
-        return self._occupancy.edges_exceeding(bound)
+    on_drop = on_deliver
 
 
 class MessageStats(NetworkMonitor):

@@ -25,7 +25,7 @@ from array import array
 from typing import Dict, List, Optional
 
 from repro.errors import ConfigurationError, CrashedProcessError, SimulationError
-from repro.sim.actor import Actor, ProcessId
+from repro.sim.actor import Actor, KernelSubstrate, ProcessId
 from repro.sim.events import EventPriority
 from repro.sim.kernel import Simulator
 from repro.sim.latency import FixedLatency, LatencyModel, channel_stream_name
@@ -50,10 +50,10 @@ class _Delivery:
 
     One callable object per *in-flight* message instead of one closure per
     *send*: when the delivery fires it returns itself to the network's
-    free list before touching the receiver, so the pool's size is bounded
-    by the peak number of concurrently in-transit messages — a handful per
-    channel under the paper's ≤4-per-edge regime — while a closure-based
-    scheme allocates (closure + cell) on every single send.
+    free list before touching the receiver, unless it already holds as
+    many spares as there are messages in flight (a t = 0 burst leaves no
+    pool behind), while a closure-based scheme allocates (closure + cell)
+    on every single send.
     """
 
     __slots__ = ("_network", "src", "dst", "message", "seq", "channel")
@@ -79,7 +79,9 @@ class _Delivery:
         # record is already popped, and the receiver's reaction may send
         # (and thus want a fresh record) immediately.
         self.message = None
-        network._pool.append(self)
+        pool = network._pool
+        if len(pool) < network.sent_count - network.delivered_count - network.dropped_count:
+            pool.append(self)
         receiver = network._actors[dst]
         now = network._sim._now
         fences = network._fences
@@ -166,6 +168,8 @@ class Network:
         self.sent_count = 0
         self.delivered_count = 0
         self.dropped_count = 0
+        # Every registered actor shares it: it holds no per-actor state.
+        self._substrate = KernelSubstrate(sim, self)
 
     # ------------------------------------------------------------------
     # Topology / wiring
@@ -192,7 +196,7 @@ class Network:
                 self._fence(channel)
         self._actors[pid] = actor
         self._ids.setdefault(pid, {})
-        actor.bind(self._sim, self)
+        actor.bind_substrate(self._substrate)
 
     def fence_channels(self, a: ProcessId, b: ProcessId) -> None:
         """Fence both directions of edge ``(a, b)`` at their current seq.

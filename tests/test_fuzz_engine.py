@@ -118,11 +118,25 @@ def test_trace_and_wire_replay_count_the_online_occupancy():
     """Offline replay of a run's trace plus wire log sees exactly the
     channel occupancy the online checker saw: on a zero-latency hop a
     reply shares its stamp with the delivery that caused it, and must
-    not jump ahead of it."""
+    not jump ahead of it; across a fence, replay reads it off the
+    ``rejoin``/``add_edge`` records where the kernel was told online."""
     from repro.checks import events_from_trace, events_from_wire, merge_events
+    from tests.test_membership import bounce_and_flip
 
     plans = [sample_plan(topology="ring", n=6, seed=0, index=i) for i in range(10)]
     plans.append(plans[0].with_(mutant="greedy-eater"))
+    plans += [
+        FaultPlan(
+            topology="ring",
+            n=6,
+            seed=seed,
+            horizon=40.0,
+            latency=LatencySpec.of("uniform", low=0.5, high=3.0),
+            workload=WorkloadSpec.of("always", eat_time=0.3, think_time=0.01),
+            membership=bounce_and_flip(),
+        )
+        for seed in (1, 6, 7)
+    ]
     for plan in plans:
         result = run_plan_kernel(plan, stop_on_violation=False)
         edges = sorted(topologies.by_name(plan.topology, plan.n, seed=plan.seed).edges)
@@ -201,6 +215,14 @@ def test_token_reuse_folds_lemma_assert_into_fork_uniqueness():
     assert "fork-uniqueness" in result.failed
     assert result.error is not None and "ForkDuplication" in result.error
     assert result.stopped_early
+
+
+def test_channel_bound_kills_token_reuse():
+    # Re-spent tokens put duplicate fork requests in flight: Section 7's
+    # bound convicts the mutant on its own, not only fork uniqueness.
+    plan = sample_plan(topology="ring", n=6, seed=0, index=11, mutant="token-reuse")
+    result = run_plan_kernel(plan, stop_on_violation=False)
+    assert "channel-bound" in result.failed
 
 
 def test_runtime_error_never_collides_with_a_standard_property():

@@ -317,18 +317,30 @@ def test_clean_ring6_churn_passes_dynamic_suite():
     assert result.meals.get(2, 0) > 0
 
 
-def _bounce_and_flip_log():
+def bounce_and_flip():
     """Six rounds of: leave and rejoin pid 2k, then drop and re-add edge (1, 2)."""
-    deltas = []
+    specs = []
     for k in range(6):
         t, pid = 2.0 + 6.0 * k, (2 * k) % 6
-        deltas += [
-            MembershipDelta(t, "leave", pid),
-            MembershipDelta(t + 1.5, "rejoin", pid),
-            MembershipDelta(t + 3.0, "remove_edge", 1, peer=2),
-            MembershipDelta(t + 4.5, "add_edge", 1, peer=2),
+        specs += [
+            MembershipSpec(t, "leave", pid),
+            MembershipSpec(t + 1.5, "rejoin", pid),
+            MembershipSpec(t + 3.0, "remove_edge", 1, peer=2),
+            MembershipSpec(t + 4.5, "add_edge", 1, peer=2),
         ]
-    return MembershipLog(deltas)
+    return tuple(specs)
+
+
+def _bounce_and_flip_table(seed, **options):
+    return DiningTable(
+        ring(6),
+        seed=seed,
+        latency=UniformLatency(0.5, 3.0),
+        workload=AlwaysHungry(eat_time=0.3, think_time=0.01),
+        detector=scripted_detector(),
+        membership=MembershipLog(spec.to_delta() for spec in bounce_and_flip()),
+        **options,
+    )
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -337,17 +349,21 @@ def test_fences_drop_stale_traffic_on_an_unchecked_table(seed):
     # re-add's fence drops what the old incarnation left in flight.
     # Unnumbered, the stale fork reached the fresh link and raised
     # ForkDuplicationError on 33 of 40 seeds.
-    table = DiningTable(
-        ring(6),
-        seed=seed,
-        latency=UniformLatency(0.5, 3.0),
-        workload=AlwaysHungry(eat_time=0.3, think_time=0.01),
-        detector=scripted_detector(),
-        membership=_bounce_and_flip_log(),
-        check_invariants=False,
-    )
+    table = _bounce_and_flip_table(seed, check_invariants=False)
     table.run(until=40.0)
     assert table.network.dropped_count > 0
+
+
+@pytest.mark.parametrize("seed", (1, 6, 7, 18, 20, 24))
+def test_channel_bound_counts_each_edge_incarnation(seed):
+    # Section 7 bounds what an edge can still deliver.  A fence makes
+    # the old incarnation's traffic depart; counted until its drop, it
+    # put 5 dining messages on one edge and raised ChannelCapacityError
+    # on these six of 40 seeds.
+    table = _bounce_and_flip_table(seed, check_invariants=True)
+    table.run(until=40.0)
+    assert table.network.dropped_count > 0
+    assert table.occupancy.max_occupancy <= 4
 
 
 def test_churn_verdict_names_the_same_properties_as_a_static_one():

@@ -23,9 +23,9 @@ from repro.sim.network import Network
 from repro.sim.rng import RandomStreams
 
 # The files that hold per-channel state: the network (its channel ids,
-# channel tables, pooled delivery records, and the check adapter's FIFO
-# and pending-ping tables, which the network allocates), and the latency
-# streams' rows.
+# channel tables, pooled delivery records, and the check adapter's FIFO,
+# pending-ping and occupancy tables, which the network allocates), and
+# the latency streams' rows.
 _CHANNEL_FILES = ("*/repro/sim/network.py", "*/repro/sim/rng.py", "*/repro/sim/latency.py")
 
 
@@ -61,7 +61,8 @@ def test_built_state_stays_under_4_5_kb_per_diner(scale_table_memory):
     # ≈6.3 KB per diner with an instance dict per diner (it outgrew the
     # shared-key limit), a (neighbor, link) tuple list, two empty
     # membership sets and a frozenset scope per detector module; ≈3.2 KB
-    # with slotted actors and modules.
+    # with slotted actors and modules; ≈2.7 KB with one substrate per
+    # network and one neighbor map for the ◇WX and overtaking checkers.
     table, built_bytes, _ = scale_table_memory
     assert built_bytes / len(table.diners) <= 4500
 
@@ -70,7 +71,9 @@ def test_channel_growth_stays_under_500_bytes_per_directed_channel(scale_table_m
     # ≈989 B per channel when each channel had a [front, seq] cell, a
     # (src, dst) key in three dicts, a kept stream name and a stream
     # object with a 32-value block; ≈456 B with channel ids, arrays, and
-    # stream rows with a 16-value first fill.
+    # stream rows with a 16-value first fill; ≈405 B with the delivery
+    # pool trimmed to the messages in flight (the channel-bound count's
+    # 16 B per channel now counts here, in the network's tables).
     table, _, channel_bytes = scale_table_memory
     channels = sum(len(table.network.channel_ids(pid)) for pid in table.diners)
     assert channels == 9274
